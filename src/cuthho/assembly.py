@@ -10,6 +10,7 @@ component of the pairing graph) through one dense factorization each.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,61 +102,66 @@ def assemble(cm: CutMesh, k: int, kappa: tuple[float, float] = (1.0, 1.0),
     ``case`` supplies the data closures (f, g_D, g_N, boundary trace);
     with ``case=None`` the load is zero, which is all the conditioning
     studies need.
+
+    One pass over the sub-cells does all of each sub-cell's work while its
+    volume tables are current: stiffness and lifting, the extension
+    penalty of each donor, the face penalty and the volume load, and, once
+    per cut cell, the interface penalty and load.  So each sub-cell's
+    tables are built once here; ``energy_error`` rebuilds them once.  Each
+    kind of term keeps its own triplet list, and the loads are added to
+    ``b`` after the liftings, each cell's volume load before its interface
+    load, so every sum runs in the same order as term-by-term passes would
+    take.
     """
     if not kappa[0] <= kappa[1]:
         raise ConfigError("kappa1 <= kappa2 is required; relabel the sides")
     ops = LocalOperators(cm, k)
     layout = DofLayout.build(cm, k)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
+    terms: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {
+        name: [] for name in ("ok", "ko", "circ", "gamma", "pairing")
+    }
     b = np.zeros(layout.n_total)
+    loads: list[tuple[np.ndarray, np.ndarray]] = []
 
-    def scatter(a: np.ndarray, stencil) -> np.ndarray:
+    def scatter(term: str, a: np.ndarray, stencil) -> np.ndarray:
         idx = layout.stencil_indices(stencil)
-        rows.append(np.repeat(idx, len(idx)))
-        cols.append(np.tile(idx, len(idx)))
-        vals.append(a.ravel())
+        terms[term].append((idx, a))
         return idx
 
     kap = {1: kappa[0], 2: kappa[1]}
     g_d = getattr(case, "g_D", None) if case is not None else None
     g_n = getattr(case, "g_N", None) if case is not None else None
 
-    for cid, i in cm.ok_sides():
-        a, ghat, bmat, st = ops.stiffness_ok(cid, i, kap[i])
-        idx = scatter(a, st)
-        if i == 1 and g_d is not None:
-            donors = cm.pairing.donors(cid, 1)
-            if cm.cells[cid].is_cut or donors:
+    for cid, i in cm.sides():
+        cell_idx = layout.indices(("c", cid, i))
+        if cm.is_ko(cid, i):
+            scatter("ko", *ops.stiffness_ko(cid, i, kap[i]))
+        else:
+            a, _, bmat, st = ops.stiffness_ok(cid, i, kap[i])
+            idx = scatter("ok", a, st)
+            donors = cm.pairing.donors(cid, i)
+            if i == 1 and g_d is not None and (cm.cells[cid].is_cut or donors):
                 lcoef = ops.lifting_coefficients(cid, g_d)
                 b[idx] -= kappa[0] * (bmat.T @ lcoef)
-
-    for cid, i in cm.ko_sides():
-        a, st = ops.stiffness_ko(cid, i, kap[i])
-        scatter(a, st)
-
-    for cid, i in cm.sides():
-        a, st = ops.stab_circ(cid, i, kap[i])
-        scatter(a, st)
+            for donor in donors:
+                scatter("pairing", *ops.stab_pairing(cid, i, donor, kap[i], eta))
+        scatter("circ", *ops.stab_circ(cid, i, kap[i]))
         if case is not None:
-            b[layout.indices(("c", cid, i))] += ops.load_volume(cid, i, case.f)
+            loads.append((cell_idx, ops.load_volume(cid, i, case.f)))
+        if i == 2 and cm.cells[cid].is_cut:  # after both volume loads
+            scatter("gamma", *ops.stab_gamma(cid, kappa[0]))
+            if case is not None and (g_d is not None or g_n is not None):
+                r1, r2 = ops.load_interface(cid, kappa[0], g_d, g_n)
+                loads.append((layout.indices(("c", cid, 1)), r1))
+                loads.append((cell_idx, r2))
+    for idx, r in loads:
+        b[idx] += r
 
-    for cid in cm.cut_cells():
-        a, st = ops.stab_gamma(cid, kappa[0])
-        scatter(a, st)
-        if case is not None and (g_d is not None or g_n is not None):
-            r1, r2 = ops.load_interface(cid, kappa[0], g_d, g_n)
-            b[layout.indices(("c", cid, 1))] += r1
-            b[layout.indices(("c", cid, 2))] += r2
-
-    for cid, i in cm.ok_sides():
-        for donor in cm.pairing.donors(cid, i):
-            a, st = ops.stab_pairing(cid, i, donor, kap[i], eta)
-            scatter(a, st)
-
+    blocks = [blk for term in terms.values() for blk in term]
     a_mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        (np.concatenate([a.ravel() for _, a in blocks]),
+         (np.concatenate([np.repeat(idx, len(idx)) for idx, _ in blocks]),
+          np.concatenate([np.tile(idx, len(idx)) for idx, _ in blocks]))),
         shape=(layout.n_total, layout.n_total),
     ).tocsr()
 
@@ -165,26 +171,37 @@ def assemble(cm: CutMesh, k: int, kappa: tuple[float, float] = (1.0, 1.0),
             if not cm.mesh.is_boundary_face(fc.fid):
                 continue
             for i in fc.sides():
-                fb = ops.face_basis(fc.fid, i)
-                pts, w = ops.face_quadrature(fc.segments[i])
-                chi = fb.eval(pts)
-                gram = chi.T @ (w[:, None] * chi)
-                rhs = chi.T @ (w * case.u(i, pts))
-                g[layout.indices(("f", fc.fid, i))] = dense_solve(
-                    gram, rhs, assume_a="pos"
-                )
+                g[layout.indices(("f", fc.fid, i))] = _project_on_face(
+                    ops, fc, i, functools.partial(case.u, i))
     return System(cm, k, kappa, eta, layout, a_mat, b, g, ops)
+
+
+def _project_on_face(ops: LocalOperators, fc, i: int, fn) -> np.ndarray:
+    """L2-projection of ``fn(pts)`` onto the polynomials of face side (fc, i)."""
+    pts, w = ops.face_quadrature(fc.segments[i])
+    chi = ops.face_basis(fc.fid, i).eval(pts)
+    gram = chi.T @ (w[:, None] * chi)
+    return dense_solve(gram, chi.T @ (w * fn(pts)), assume_a="pos")
 
 
 # ----------------------------------------------------------------------
 # solves
 # ----------------------------------------------------------------------
 
-def _check_residual(a, x, b) -> float:
+def _lu_solve(a: sp.csr_matrix, b: np.ndarray, what: str) -> np.ndarray:
+    """Sparse LU solve with two steps of iterative refinement.
+
+    Raises NumericalError when the relative residual exceeds 1e-10.
+    """
+    lu = spla.splu(a.tocsc())
+    x = lu.solve(b)
+    for _ in range(2):  # iterative refinement keeps residuals near roundoff
+        x += lu.solve(b - a @ x)
     nb = np.linalg.norm(b)
-    if nb == 0.0:
-        return 0.0
-    return float(np.linalg.norm(a @ x - b) / nb)
+    res = 0.0 if nb == 0.0 else float(np.linalg.norm(a @ x - b) / nb)
+    if not np.isfinite(res) or res > 1e-10:
+        raise NumericalError(f"solver breakdown: {what} residual {res:.3e}")
+    return x
 
 
 def solve_full(system: System) -> np.ndarray:
@@ -196,14 +213,7 @@ def solve_full(system: System) -> np.ndarray:
     if np.linalg.norm(b_red) == 0.0:
         x[system.free] = 0.0
         return x
-    lu = spla.splu(a_red.tocsc())
-    xf = lu.solve(b_red)
-    for _ in range(2):  # iterative refinement keeps residuals near roundoff
-        xf += lu.solve(b_red - a_red @ xf)
-    res = _check_residual(a_red, xf, b_red)
-    if not np.isfinite(res) or res > 1e-10:
-        raise NumericalError(f"solver breakdown: relative residual {res:.3e}")
-    x[system.free] = xf
+    x[system.free] = _lu_solve(a_red, b_red, "relative")
     return x
 
 
@@ -238,18 +248,7 @@ class CondensedSystem:
     def solve(self) -> np.ndarray:
         sysm = self.system
         x = sysm.dirichlet_values.copy()
-        if len(self.rhs):
-            lu = spla.splu(self.schur.tocsc())
-            xf = lu.solve(self.rhs)
-            for _ in range(2):
-                xf += lu.solve(self.rhs - self.schur @ xf)
-            res = _check_residual(self.schur, xf, self.rhs)
-            if not np.isfinite(res) or res > 1e-10:
-                raise NumericalError(
-                    f"solver breakdown: condensed residual {res:.3e}"
-                )
-        else:
-            xf = np.zeros(0)
+        xf = _lu_solve(self.schur, self.rhs, "condensed") if len(self.rhs) else np.zeros(0)
         x[self.face_free] = xf
         for idx_c, fac, bc, w in self.group_data:
             x[idx_c] = fac.solve(bc - w @ xf)
@@ -327,12 +326,6 @@ def condition_number(system: System, cap: int = 20000) -> float:
     return float(svals[0] / svals[-1])
 
 
-def dense_condition(diag: np.ndarray) -> float:
-    """Condition number of a dense matrix via SVD (test helper)."""
-    svals = np.linalg.svd(np.asarray(diag, dtype=float), compute_uv=False)
-    return float(svals[0] / svals[-1])
-
-
 def energy_error(system: System, x: np.ndarray, case) -> float:
     """Energy norm of the gradient error against the exact per-side solution."""
     total = 0.0
@@ -362,10 +355,6 @@ def interpolate_polynomial(cm: CutMesh, k: int, poly: dict) -> np.ndarray:
         x[layout.indices(("c", cid, i))] = expand_in_basis(poly, ops.cell_basis(cid, i))
     for fc in cm.faces:
         for i in fc.sides():
-            fb = ops.face_basis(fc.fid, i)
-            pts, w = ops.face_quadrature(fc.segments[i])
-            chi = fb.eval(pts)
-            gram = chi.T @ (w[:, None] * chi)
-            rhs = chi.T @ (w * poly_eval(poly, pts))
-            x[layout.indices(("f", fc.fid, i))] = dense_solve(gram, rhs, assume_a="pos")
+            x[layout.indices(("f", fc.fid, i))] = _project_on_face(
+                ops, fc, i, functools.partial(poly_eval, poly))
     return x

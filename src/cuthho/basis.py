@@ -137,27 +137,6 @@ class FaceBasis:
         return t[:, None] ** np.arange(self.degree + 1)[None, :]
 
 
-def cell_mass_matrix(tris: np.ndarray, basis: CellBasis) -> np.ndarray:
-    """Mass matrix of a cell basis over a triangulated region.
-
-    Raises NumericalError when the region is degenerate (conditioning
-    beyond 1e14 or a nonpositive spectrum).
-    """
-    from .errors import NumericalError
-    from .quadrature import map_to_triangles, triangle_rule
-
-    pts, w = map_to_triangles(np.asarray(tris, dtype=float),
-                              *triangle_rule(2 * basis.degree))
-    if len(pts) == 0 or w.sum() <= 0.0:
-        raise NumericalError("singular mass matrix: empty region")
-    e = basis.eval(pts)
-    m = e.T @ (w[:, None] * e)
-    ev = np.linalg.eigvalsh(m)
-    if ev[0] <= 0.0 or ev[-1] / ev[0] > 1e14:
-        raise NumericalError("singular mass matrix: degenerate region")
-    return m
-
-
 # -- small dense-polynomial helpers (coefficient dicts on global x, y) ----
 
 Poly = dict[tuple[int, int], float]

@@ -132,25 +132,23 @@ def _cmd_solve(args) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    progress = None
     try:
         if args.command == "solve":
             _cmd_solve(args)
         elif args.study_kind == "convergence":
             _emit(study.convergence_study(
                 args.case, args.k, args.levels, r=args.r, theta=args.theta,
-                eta=args.eta, kappa2=args.kappa2, progress=progress), args.out)
+                eta=args.eta, kappa2=args.kappa2), args.out)
         elif args.study_kind == "conditioning":
             _emit(study.conditioning_study(
                 args.interface, args.sweep, args.k, level=args.level,
                 theta=args.theta, r=args.r if args.r is not None else 8,
                 eta=args.eta,
-                kappa2=args.kappa2 if args.kappa2 is not None else 1.0,
-                progress=progress), args.out)
+                kappa2=args.kappa2 if args.kappa2 is not None else 1.0), args.out)
         elif args.study_kind == "theta":
             _emit(study.theta_study(
                 args.case, args.theta, args.k, args.levels, r=args.r,
-                eta=args.eta, kappa2=args.kappa2, progress=progress), args.out)
+                eta=args.eta, kappa2=args.kappa2), args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -480,7 +480,7 @@ def build_cut_mesh(mesh: CartesianMesh, levelset: LevelSet, theta: float = 0.3,
             has_pos = bool((~neg).any() or (csign > 0).any())
             if has_neg and has_pos:
                 raise GeometryError(
-                    "disconnected cut: interface loop inside an uncrossed cell"
+                    f"cell {cid}: disconnected cut: interface loop inside an uncrossed cell"
                 )
             side = 1 if has_neg else 2
             cc = CellCut(cid, UNCUT, side)
@@ -489,10 +489,13 @@ def build_cut_mesh(mesh: CartesianMesh, levelset: LevelSet, theta: float = 0.3,
             cc.rho[side] = 0.5 * s
             cells.append(cc)
         else:
-            cells.append(
-                _classify_cut_cell(mesh, levelset, cid, face_cuts, csign,
-                                   theta, r, gpts[cid], neg)
-            )
+            try:
+                cells.append(
+                    _classify_cut_cell(mesh, levelset, cid, face_cuts, csign,
+                                       theta, r, gpts[cid], neg)
+                )
+            except GeometryError as exc:
+                raise GeometryError(f"cell {cid}: {exc}") from exc
 
     pairing = build_pairing(mesh, cells)
     return CutMesh(mesh, levelset, theta, r, cells, face_cuts, pairing)

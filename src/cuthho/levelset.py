@@ -141,12 +141,6 @@ class Line(LevelSet):
         return np.broadcast_to(np.asarray(self.normal, dtype=float), pts.shape).copy()
 
 
-def side_of(values: np.ndarray, tol: float = 0.0) -> np.ndarray:
-    """Map level-set values to side indices 1/2 (0 where |value| <= tol)."""
-    out = np.where(values > tol, 2, 1)
-    return np.where(np.abs(values) <= tol, 0, out)
-
-
 def interface_clear_of_boundary(levelset: LevelSet, samples: int = 2048) -> bool:
     """Check by sampling that the zero set does not meet the unit-square boundary."""
     t = np.linspace(0.0, 1.0, samples)

@@ -20,13 +20,21 @@ about two cell radii away, the coefficients of G grow to ~1e4 at k=3 and
 cancel when applied, losing about four digits.  The stiffness
 B^T M^-1 B and the lifting do not depend on this choice of basis.
 
+What is kept and what is rebuilt: LocalOperators holds the volume tables
+of one sub-cell, the last one asked for.  They are its quadrature, basis
+values, orthonormal reconstruction basis and mass factor; asking for
+another sub-cell rebuilds them, bit for bit the same each time.
+``assemble`` does all of a sub-cell's work while its tables are current,
+so it builds them once, and ``energy_error`` builds them once more.  Cell
+bases and the interface quadrature of each cut cell are kept for the
+lifetime of the operators: donors' receivers read them.
+
 Dof blocks are addressed by keys ('c', cid, side) and ('f', fid, side);
 all operators are returned together with their ordered key stencils.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,13 +48,13 @@ from .quadrature import (
     gauss_1d,
     map_to_triangles,
     points_for_degree,
+    segment_rule,
     triangle_rule,
 )
 
 Key = tuple[str, int, int]
 
 _MASS_COND_LIMIT = 1e14
-_TABLE_POINT_BUDGET = 400_000
 
 
 class ScaledCholesky:
@@ -108,11 +116,15 @@ def orthonormal_basis(mono: CellBasis, e: np.ndarray, w: np.ndarray,
 class VolumeTables:
     """Volume quadrature of one sub-cell with its basis evaluations."""
 
+    cid: int
+    i: int
     pts: np.ndarray
     w: np.ndarray
     ek: np.ndarray  # degree-k reconstruction basis values, (npts, ng)
     ek1: np.ndarray  # degree-(k+1) values, (npts, nc)
     dek1: np.ndarray  # degree-(k+1) gradients, (npts, nc, 2)
+    ortho: OrthonormalBasis | None  # reconstruction basis, if orthonormalised
+    mass: ScaledCholesky | None = None  # degree-k mass factor, on first use
 
 
 @dataclass
@@ -150,15 +162,11 @@ class LocalOperators:
         self.nf = k + 1  # face polynomial block
         degree = 2 * k + 3
         self._tri_ref = triangle_rule(degree)
-        self._gauss = gauss_1d(points_for_degree(degree))
-        self._box_n = points_for_degree(degree)
+        self._gauss_n = points_for_degree(degree)
+        self._gauss = gauss_1d(self._gauss_n)
         self._cell_bases: dict[tuple[int, int], CellBasis] = {}
-        # outlive table eviction, so rebuilt tables reuse the same transform
-        self._ortho_bases: dict[tuple[int, int], OrthonormalBasis] = {}
-        self._tables: OrderedDict[tuple[int, int], VolumeTables] = OrderedDict()
-        self._tables_points = 0
-        self._iface_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._mass_cache: dict[tuple[int, int], tuple] = {}
+        self._tables: VolumeTables | None = None  # the current sub-cell's
+        self._iface: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     # -- geometry-backed ingredients ---------------------------------
 
@@ -210,57 +218,44 @@ class LocalOperators:
         donors, failing sides) it is the monomial basis of cell_basis one
         degree down.
         """
-        key = (cid, i)
         if not self.has_orthonormal_basis(cid, i):
             return self.cell_basis(cid, i).lower(self.k)
-        if key not in self._ortho_bases:
-            self.volume_tables(cid, i)
-        return self._ortho_bases[key]
+        return self.volume_tables(cid, i).ortho
 
     def face_basis(self, fid: int, side: int) -> FaceBasis:
         seg = self.cm.faces[fid].segments[side]
         return FaceBasis(self.k, tuple(seg[0]), tuple(seg[1]))
 
-    def volume_quadrature(self, cid: int, i: int):
-        t = self.volume_tables(cid, i)
-        return t.pts, t.w
-
     def volume_tables(self, cid: int, i: int) -> VolumeTables:
-        """Cached quadrature and basis tables of sub-cell (cid, i).
+        """Quadrature and basis tables of sub-cell (cid, i).
 
-        The first build of an orthonormalised sub-cell's tables also
-        builds its reconstruction basis from the same quadrature.
+        Only the last sub-cell's tables are kept.  An orthonormalised
+        sub-cell's reconstruction basis is built from the same quadrature
+        as part of its tables.
         """
-        key = (cid, i)
-        hit = self._tables.get(key)
-        if hit is not None:
-            self._tables.move_to_end(key)
-            return hit
+        t = self._tables
+        if t is not None and t.cid == cid and t.i == i:
+            return t
+        self._tables = None  # let the previous sub-cell's tables go first
         c = self.cm.cells[cid]
         if c.kind == UNCUT:
-            pts, w = box_rule(*self.cm.mesh.cell_box(cid), self._box_n)
+            pts, w = box_rule(*self.cm.mesh.cell_box(cid), self._gauss_n)
         else:
             pts, w = map_to_triangles(c.tris[i], *self._tri_ref)
         basis = self.cell_basis(cid, i)
         ek = basis.lower(self.k).eval(pts)
+        ortho = None
         if self.has_orthonormal_basis(cid, i):
-            bk = self._ortho_bases.get(key)
-            if bk is None:
-                bk = orthonormal_basis(basis.lower(self.k), ek, w,
-                                       f"sub-cell ({cid}, {i})")
-                self._ortho_bases[key] = bk
-            ek = ek @ bk.transform  # as bk.eval(pts), bit for bit
-        hit = VolumeTables(pts, w, ek, basis.eval(pts), basis.grad(pts))
-        self._tables[key] = hit
-        self._tables_points += len(pts)
-        while self._tables_points > _TABLE_POINT_BUDGET and len(self._tables) > 1:
-            _, old = self._tables.popitem(last=False)
-            self._tables_points -= len(old.pts)
-        return hit
+            ortho = orthonormal_basis(basis.lower(self.k), ek, w,
+                                      f"sub-cell ({cid}, {i})")
+            ek = ek @ ortho.transform  # as ortho.eval(pts), bit for bit
+        self._tables = VolumeTables(cid, i, pts, w, ek, basis.eval(pts),
+                                    basis.grad(pts), ortho)
+        return self._tables
 
     def interface_quadrature(self, cid: int):
         """Points, weights, and pointwise unit normals on the cell's polyline."""
-        hit = self._iface_cache.get(cid)
+        hit = self._iface.get(cid)
         if hit is None:
             poly = self.cm.cells[cid].polyline
             t, gw = self._gauss
@@ -270,32 +265,19 @@ class LocalOperators:
             pts = (mid[:, None, :] + t[None, :, None] * half[:, None, :]).reshape(-1, 2)
             lengths = np.linalg.norm(p1 - p0, axis=1)
             w = (0.5 * lengths[:, None] * gw[None, :]).ravel()
-            normals = self.cm.levelset.normals(pts)
-            if len(self._iface_cache) > 64:
-                self._iface_cache.clear()
-            hit = (pts, w, normals)
-            self._iface_cache[cid] = hit
+            hit = self._iface[cid] = (pts, w, self.cm.levelset.normals(pts))
         return hit
 
     def face_quadrature(self, seg: np.ndarray):
-        t, gw = self._gauss
-        p0, p1 = seg[0], seg[1]
-        length = float(np.linalg.norm(p1 - p0))
-        pts = 0.5 * (p0 + p1) + 0.5 * np.outer(t, p1 - p0)
-        return pts, 0.5 * length * gw
+        return segment_rule(seg[0], seg[1], self._gauss_n)
 
     def mass_factor(self, cid: int, i: int) -> ScaledCholesky:
         """Factorized degree-k scalar mass matrix on (cid, i)."""
-        key = (cid, i)
-        hit = self._mass_cache.get(key)
-        if hit is None:
-            t = self.volume_tables(cid, i)
-            m = t.ek.T @ (t.w[:, None] * t.ek)
-            hit = ScaledCholesky(m, f"sub-cell ({cid}, {i})")
-            if len(self._mass_cache) > 128:
-                self._mass_cache.clear()
-            self._mass_cache[key] = hit
-        return hit
+        t = self.volume_tables(cid, i)
+        if t.mass is None:
+            t.mass = ScaledCholesky(t.ek.T @ (t.w[:, None] * t.ek),
+                                    f"sub-cell ({cid}, {i})")
+        return t.mass
 
     # -- gradient reconstruction --------------------------------------
 

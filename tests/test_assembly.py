@@ -7,7 +7,6 @@ from cuthho.assembly import (
     assemble,
     condense,
     condition_number,
-    dense_condition,
     energy_error,
     interpolate_polynomial,
     pairing_groups,
@@ -163,11 +162,6 @@ def test_energy_error_zero_for_injected_interpolate():
     system = assemble(cm, 2, kappa=case.kappa, case=case)
     x = interpolate_polynomial(cm, 2, case.poly)
     assert energy_error(system, x, case) <= 1e-10
-
-
-def test_condition_number_helpers():
-    assert dense_condition(np.eye(3)) == pytest.approx(1.0)
-    assert dense_condition(np.diag([1.0, 10.0])) == pytest.approx(10.0)
 
 
 def test_condition_number_size_cap():

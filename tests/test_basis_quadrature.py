@@ -6,14 +6,12 @@ import pytest
 from cuthho.basis import (
     CellBasis,
     FaceBasis,
-    cell_mass_matrix,
     expand_in_basis,
     monomial_exponents,
     poly_diff,
     poly_eval,
     poly_laplacian,
 )
-from cuthho.errors import NumericalError
 from cuthho.quadrature import (
     box_rule,
     gauss_1d,
@@ -176,21 +174,6 @@ def test_basis_gradient_matches_fd():
     for comp, dvec in ((0, np.array([h, 0])), (1, np.array([0, h]))):
         fd = (b.eval(pts + dvec) - b.eval(pts - dvec)) / (2 * h)
         assert np.allclose(g[:, :, comp], fd, atol=1e-7)
-
-
-def test_cell_mass_matrix_spd():
-    tris = np.array(
-        [[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]], [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0]]]
-    )
-    m = cell_mass_matrix(tris, CellBasis(2, (0.5, 0.5), 0.7))
-    assert np.allclose(m, m.T)
-    assert np.all(np.linalg.eigvalsh(m) > 0)
-
-
-def test_cell_mass_matrix_degenerate_region():
-    flat = np.array([[[0.0, 0.0], [1.0, 0.0], [0.5, 1e-16]]])
-    with pytest.raises(NumericalError, match="singular mass matrix"):
-        cell_mass_matrix(flat, CellBasis(3, (0.5, 0.0), 0.7))
 
 
 # -- face basis --------------------------------------------------------

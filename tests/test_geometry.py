@@ -184,6 +184,13 @@ def test_both_sides_ill_cut_error():
         build_cut_mesh(m, Line((0.75, 0.0)), theta=0.9, r=2)
 
 
+def test_cut_cell_geometry_error_names_the_cell():
+    # at level 1 the square front with delta = 0.5e-8 leaves a sub-cell empty
+    with pytest.raises(GeometryError,
+                       match=r"^cell 315: degenerate triangle: empty sub-cell$"):
+        build_cut_mesh(build_mesh(1), Square(delta=0.5e-8))
+
+
 def test_two_crossings_of_one_face_rejected():
     class TwoLines(LevelSet):
         def value(self, pts):

@@ -17,9 +17,9 @@ depends on which tests ran before.
 import numpy as np
 import pytest
 
-from cuthho import local
-from cuthho.assembly import DofLayout, interpolate_polynomial
+from cuthho.assembly import DofLayout, assemble, interpolate_polynomial
 from cuthho.basis import CellBasis, expand_in_basis, poly_diff
+from cuthho.cases import make_case
 from cuthho.errors import NumericalError
 from cuthho.geometry import build_cut_mesh
 from cuthho.levelset import Circle, Line
@@ -114,20 +114,41 @@ def test_orthonormal_basis_guards_degenerate_region():
         orthonormal_basis(mono, mono.eval(pts), np.ones(7), "sub-cell (4, 1)")
 
 
-def test_reconstruction_bit_identical_after_table_eviction(monkeypatch):
-    monkeypatch.setattr(local, "_TABLE_POINT_BUDGET", 1)  # keep one table
+def test_reconstruction_bit_identical_after_table_eviction():
     cm = build_cut_mesh(build_mesh(0), CIRCLE, theta=0.3, r=4)
     ops = LocalOperators(cm, 3)
     (cid, i), other = [s for s in cm.ok_sides() if ops.has_orthonormal_basis(*s)][:2]
     tables = ops.volume_tables(cid, i)
     basis = ops.cell_basis_k(cid, i)
     ghat = ops.gradient_reconstruction(cid, i)[0]
-    ops.volume_tables(*other)
+    ops.volume_tables(*other)  # only the last sub-cell's tables are kept
     rebuilt = ops.volume_tables(cid, i)
     assert rebuilt is not tables
-    assert ops.cell_basis_k(cid, i) is basis
     assert np.array_equal(rebuilt.ek, tables.ek)
+    assert np.array_equal(ops.cell_basis_k(cid, i).transform, basis.transform)
     assert np.array_equal(ops.gradient_reconstruction(cid, i)[0], ghat)
+
+
+def test_assemble_builds_each_sub_cell_tables_once(monkeypatch):
+    case = make_case("jump-mixed")  # g_D and g_N on the interface
+    assert case.g_D is not None and case.g_N is not None
+    # k=3 at r=9 gives large tables: about 15k points per cut sub-cell
+    cm = build_cut_mesh(build_mesh(0), case.levelset, theta=0.3, r=9)
+    assert len(cm.pairing) > 0
+    built: dict[tuple[int, int], list] = {}
+    original = LocalOperators.volume_tables
+
+    def counting(self, cid, i):
+        out = original(self, cid, i)
+        seen = built.setdefault((cid, i), [])  # holds them, so ids stay unique
+        if not any(t is out for t in seen):
+            seen.append(out)
+        return out
+
+    monkeypatch.setattr(LocalOperators, "volume_tables", counting)
+    assemble(cm, 3, kappa=case.kappa, case=case)
+    assert set(built) == set(cm.sides())
+    assert {key: len(v) for key, v in built.items() if len(v) != 1} == {}
 
 
 def test_plain_gradient_matrix():
