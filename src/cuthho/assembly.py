@@ -26,8 +26,17 @@ from .local import Key, LocalOperators, ScaledCholesky
 
 @dataclass
 class DofLayout:
-    blocks: dict[Key, tuple[int, int]]
-    keys: list[Key]
+    """Global dof numbering.
+
+    ``cell_offset[cid, i]`` and ``face_offset[fid, i]`` hold the first dof
+    of the side-i block of a cell or face, or -1 where that side is
+    absent; column 0 is unused, so sides index the columns directly.
+    """
+
+    cell_offset: np.ndarray  # (n_cells, 3)
+    face_offset: np.ndarray  # (n_faces, 3)
+    nc: int  # dofs per cell block
+    nf: int  # dofs per face block
     n_cell_dofs: int
     n_total: int
     dirichlet: np.ndarray  # boolean mask over all dofs
@@ -36,36 +45,173 @@ class DofLayout:
     def build(cls, cm: CutMesh, k: int) -> "DofLayout":
         nc = space_dimension(k + 1)
         nf = k + 1
-        blocks: dict[Key, tuple[int, int]] = {}
-        keys: list[Key] = []
+        cell_offset = np.full((len(cm.cells), 3), -1)
+        face_offset = np.full((len(cm.faces), 3), -1)
         off = 0
         for c in cm.cells:
             for i in c.sides():
-                key = ("c", c.cid, i)
-                blocks[key] = (off, nc)
-                keys.append(key)
+                cell_offset[c.cid, i] = off
                 off += nc
         n_cell = off
         for fc in cm.faces:
             for i in fc.sides():
-                key = ("f", fc.fid, i)
-                blocks[key] = (off, nf)
-                keys.append(key)
+                face_offset[fc.fid, i] = off
                 off += nf
         dirichlet = np.zeros(off, dtype=bool)
         for fc in cm.faces:
             if cm.mesh.is_boundary_face(fc.fid):
                 for i in fc.sides():
-                    o, s = blocks[("f", fc.fid, i)]
-                    dirichlet[o : o + s] = True
-        return cls(blocks, keys, n_cell, off, dirichlet)
+                    o = face_offset[fc.fid, i]
+                    dirichlet[o : o + nf] = True
+        return cls(cell_offset, face_offset, nc, nf, n_cell, off, dirichlet)
 
     def indices(self, key: Key) -> np.ndarray:
-        off, size = self.blocks[key]
+        kind, ident, i = key
+        if kind == "c":
+            off, size = self.cell_offset[ident, i], self.nc
+        else:
+            off, size = self.face_offset[ident, i], self.nf
+        if off < 0:
+            raise KeyError(key)
         return np.arange(off, off + size)
 
     def stencil_indices(self, stencil) -> np.ndarray:
         return np.concatenate([self.indices(k) for k in stencil.keys])
+
+
+@dataclass
+class PlainCells:
+    """All plain sub-cells of a cut mesh, handled as one reference element.
+
+    A plain sub-cell (``CutMesh.is_plain``) is an uncut square without
+    donors.  Its basis is centred at the cell centre and scaled by h/2, so
+    its stiffness, face penalty, load matrix and gradient table are the
+    same on every plain sub-cell up to translation and round-off.  They
+    are built once, on the first plain sub-cell with kappa = 1, through
+    the same LocalOperators calls as any other sub-cell, and each plain
+    sub-cell uses them scaled by the kappa of its side.  The local
+    stencil is the cell block, then the left, right, bottom and top face
+    blocks.
+    """
+
+    cids: np.ndarray  # (n,)
+    sides: np.ndarray  # (n,)
+    kappa: np.ndarray  # (n,) kappa of each sub-cell's side
+    cell_dofs: np.ndarray  # (n, nc)
+    face_dofs: np.ndarray  # (n, 4 nf)
+    a: np.ndarray  # stiffness + face penalty at kappa = 1, (nc + 4 nf) square
+    centers: np.ndarray  # (n, 2)
+    offsets: np.ndarray  # (npts, 2) quadrature points less the cell centre
+    w: np.ndarray  # (npts,)
+    ek1: np.ndarray  # (npts, nc)
+    dek1: np.ndarray  # (npts, nc, 2)
+
+    @classmethod
+    def build(cls, ops: LocalOperators, layout: DofLayout,
+              kappa: tuple[float, float]) -> "PlainCells | None":
+        cm = ops.cm
+        found = [(cid, i) for cid, i in cm.sides() if cm.is_plain(cid, i)]
+        if not found:
+            return None
+        cids, sides = (np.array(v) for v in zip(*found))
+        cid0, i0 = found[0]
+        a, _, _, st = ops.stiffness_ok(cid0, i0, 1.0)
+        s, st_s = ops.stab_circ(cid0, i0, 1.0)
+        faces = np.stack(cm.mesh.cell_faces(cids), axis=1)  # (n, 4)
+        assert st.keys == st_s.keys == [("c", cid0, i0)] + [
+            ("f", int(f), i0) for f in faces[0]]
+        t = ops.volume_tables(cid0, i0)
+        centers = np.array([cm.cells[c].barycenter[i] for c, i in found])
+        nc, nf = layout.nc, layout.nf
+        return cls(
+            cids, sides, np.where(sides == 1, kappa[0], kappa[1]),
+            layout.cell_offset[cids, sides][:, None] + np.arange(nc),
+            (layout.face_offset[faces, sides[:, None]][:, :, None]
+             + np.arange(nf)).reshape(len(cids), 4 * nf),
+            a + s, centers, t.pts - centers[0], t.w, t.ek1, t.dek1)
+
+    @property
+    def nc(self) -> int:
+        return self.ek1.shape[1]
+
+    def by_side(self):
+        """(i, selection, stacked quadrature points) for each side present."""
+        for i in (1, 2):
+            sel = np.flatnonzero(self.sides == i)
+            if len(sel):
+                pts = self.centers[sel][:, None, :] + self.offsets[None]
+                yield i, sel, pts.reshape(-1, 2)
+
+    def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """COO rows, columns and values of all plain sub-cells' blocks."""
+        dofs = np.hstack([self.cell_dofs, self.face_dofs])
+        width = dofs.shape[1]
+        return (np.repeat(dofs, width, axis=1).ravel(),
+                np.tile(dofs, (1, width)).ravel(),
+                (self.kappa[:, None] * self.a.ravel()[None, :]).ravel())
+
+    def loads(self, f) -> np.ndarray:
+        """Volume loads (w f, ek1) of every plain sub-cell, (n, nc)."""
+        out = np.empty((len(self.cids), self.nc))
+        for i, sel, pts in self.by_side():
+            out[sel] = (f(i, pts).reshape(len(sel), -1) * self.w) @ self.ek1
+        return out
+
+    def energy_squared(self, x: np.ndarray, grad_u) -> float:
+        """Sum over plain sub-cells of kappa_i |grad u_h - grad u|^2."""
+        total = 0.0
+        for i, sel, pts in self.by_side():
+            gh = np.einsum("pcd,nc->npd", self.dek1, x[self.cell_dofs[sel]])
+            diff = gh - grad_u(i, pts).reshape(gh.shape)
+            total += float(self.kappa[sel] @ (np.sum(diff * diff, axis=2) @ self.w))
+        return total
+
+    # -- static condensation -------------------------------------------
+
+    @functools.cached_property
+    def cell_factor(self) -> ScaledCholesky:
+        try:
+            return ScaledCholesky(self.a[: self.nc, : self.nc], "plain cell block")
+        except NumericalError as exc:
+            raise NumericalError("singular cell block of the plain sub-cells") from exc
+
+    def schur_terms(self, bc: np.ndarray, face_pos: np.ndarray):
+        """Schur triplets and condensed loads of all plain sub-cells.
+
+        ``bc`` holds the cells' loads, (n, nc); ``face_pos`` maps each of
+        their face dofs to its free face number, -1 on Dirichlet faces.
+        Returns (rows, cols, values) to subtract from the face block and
+        (positions, values) to subtract from the face load.
+        """
+        nc = self.nc
+        a_cf, a_fc = self.a[:nc, nc:], self.a[nc:, :nc]
+        schur = a_fc @ self.cell_factor.solve(a_cf)  # at kappa = 1
+        width = face_pos.shape[1]
+        rows = np.repeat(face_pos, width, axis=1).ravel()
+        cols = np.tile(face_pos, (1, width)).ravel()
+        vals = (self.kappa[:, None] * schur.ravel()[None, :]).ravel()
+        keep = (rows >= 0) & (cols >= 0)
+        load = (a_fc @ self.cell_factor.solve(bc.T)).T  # kappa cancels
+        free = face_pos >= 0
+        return (rows[keep], cols[keep], vals[keep]), (face_pos[free], load[free])
+
+    def back_substitute(self, bc: np.ndarray, xf: np.ndarray) -> np.ndarray:
+        """Cell dofs from the loads ``bc`` and the cells' face values ``xf``.
+
+        ``xf`` is (n, 4 nf), zero on Dirichlet faces (their values are
+        already in ``bc``).
+        """
+        nc = self.nc
+        rhs = bc.T / self.kappa[None, :] - self.a[:nc, nc:] @ xf.T
+        return self.cell_factor.solve(rhs).T
+
+
+def _plain_mask(cm: CutMesh, plain: PlainCells | None) -> np.ndarray:
+    """Whether each cell is plain; a plain cell has one sub-cell."""
+    mask = np.zeros(len(cm.cells), dtype=bool)
+    if plain is not None:
+        mask[plain.cids] = True
+    return mask
 
 
 @dataclass
@@ -79,6 +225,7 @@ class System:
     b: np.ndarray
     dirichlet_values: np.ndarray
     ops: LocalOperators = field(repr=False)
+    plain: PlainCells | None = field(repr=False)  # None: no plain sub-cell
 
     @property
     def free(self) -> np.ndarray:
@@ -103,20 +250,26 @@ def assemble(cm: CutMesh, k: int, kappa: tuple[float, float] = (1.0, 1.0),
     with ``case=None`` the load is zero, which is all the conditioning
     studies need.
 
-    One pass over the sub-cells does all of each sub-cell's work while its
-    volume tables are current: stiffness and lifting, the extension
-    penalty of each donor, the face penalty and the volume load, and, once
-    per cut cell, the interface penalty and load.  So each sub-cell's
-    tables are built once here; ``energy_error`` rebuilds them once.  Each
-    kind of term keeps its own triplet list, and the loads are added to
-    ``b`` after the liftings, each cell's volume load before its interface
-    load, so every sum runs in the same order as term-by-term passes would
-    take.
+    Plain sub-cells (uncut, without donors) take the reference path: one
+    scaled copy of the reference stiffness and face penalty per sub-cell,
+    scattered in one block, and volume loads from one evaluation of ``f``
+    per side on their stacked quadrature points (see ``PlainCells``).
+
+    Every other sub-cell (cut, failing or receiving donors) takes the
+    per-cell path.  One pass over them does all of each sub-cell's work
+    while its volume tables are current: stiffness and lifting, the
+    extension penalty of each donor, the face penalty and the volume
+    load, and, once per cut cell, the interface penalty and load.  So
+    each sub-cell's tables are built once.  Each kind of term keeps its
+    own triplet list, and the loads are added to ``b`` after the
+    liftings, each cell's volume load before its interface load.
     """
     if not kappa[0] <= kappa[1]:
         raise ConfigError("kappa1 <= kappa2 is required; relabel the sides")
     ops = LocalOperators(cm, k)
     layout = DofLayout.build(cm, k)
+    plain = PlainCells.build(ops, layout, kappa)
+    is_plain = _plain_mask(cm, plain)
     terms: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {
         name: [] for name in ("ok", "ko", "circ", "gamma", "pairing")
     }
@@ -133,6 +286,8 @@ def assemble(cm: CutMesh, k: int, kappa: tuple[float, float] = (1.0, 1.0),
     g_n = getattr(case, "g_N", None) if case is not None else None
 
     for cid, i in cm.sides():
+        if is_plain[cid]:
+            continue
         cell_idx = layout.indices(("c", cid, i))
         if cm.is_ko(cid, i):
             scatter("ko", *ops.stiffness_ko(cid, i, kap[i]))
@@ -158,10 +313,16 @@ def assemble(cm: CutMesh, k: int, kappa: tuple[float, float] = (1.0, 1.0),
         b[idx] += r
 
     blocks = [blk for term in terms.values() for blk in term]
+    rows = [np.repeat(idx, len(idx)) for idx, _ in blocks]
+    cols = [np.tile(idx, len(idx)) for idx, _ in blocks]
+    vals = [a.ravel() for _, a in blocks]
+    if plain is not None:
+        for out, part in zip((rows, cols, vals), plain.triplets()):
+            out.append(part)
+        if case is not None:
+            b[plain.cell_dofs] += plain.loads(case.f)
     a_mat = sp.coo_matrix(
-        (np.concatenate([a.ravel() for _, a in blocks]),
-         (np.concatenate([np.repeat(idx, len(idx)) for idx, _ in blocks]),
-          np.concatenate([np.tile(idx, len(idx)) for idx, _ in blocks]))),
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(layout.n_total, layout.n_total),
     ).tocsr()
 
@@ -173,7 +334,7 @@ def assemble(cm: CutMesh, k: int, kappa: tuple[float, float] = (1.0, 1.0),
             for i in fc.sides():
                 g[layout.indices(("f", fc.fid, i))] = _project_on_face(
                     ops, fc, i, functools.partial(case.u, i))
-    return System(cm, k, kappa, eta, layout, a_mat, b, g, ops)
+    return System(cm, k, kappa, eta, layout, a_mat, b, g, ops, plain)
 
 
 def _project_on_face(ops: LocalOperators, fc, i: int, fn) -> np.ndarray:
@@ -244,20 +405,36 @@ class CondensedSystem:
     rhs: np.ndarray
     face_free: np.ndarray  # global indices of free face dofs
     group_data: list[tuple[np.ndarray, object, np.ndarray, sp.csr_matrix]]
+    plain_loads: np.ndarray | None  # (n, nc) loads of the plain sub-cells
 
     def solve(self) -> np.ndarray:
+        """Schur solve, then back-substitution: one multi-RHS solve for all
+        plain sub-cells and one per remaining group."""
         sysm = self.system
         x = sysm.dirichlet_values.copy()
         xf = _lu_solve(self.schur, self.rhs, "condensed") if len(self.rhs) else np.zeros(0)
         x[self.face_free] = xf
+        plain = sysm.plain
+        if plain is not None:
+            free = np.zeros(sysm.layout.n_total)
+            free[self.face_free] = xf
+            x[plain.cell_dofs] = plain.back_substitute(self.plain_loads,
+                                                       free[plain.face_dofs])
         for idx_c, fac, bc, w in self.group_data:
             x[idx_c] = fac.solve(bc - w @ xf)
         return x
 
 
 def condense(system: System) -> CondensedSystem:
-    """Eliminate cell dofs groupwise, leaving a face-only Schur system."""
+    """Eliminate cell dofs groupwise, leaving a face-only Schur system.
+
+    The plain sub-cells are singleton groups that share one cell block up
+    to kappa: they are eliminated together with one factorization of the
+    reference block and batched products.  Every other pairing group is
+    sliced out of the matrix and factorized on its own.
+    """
     layout = system.layout
+    plain = system.plain
     ncell = layout.n_cell_dofs
     bmod = system.b - system.A @ system.dirichlet_values
     free_face = np.where(~layout.dirichlet[ncell:])[0] + ncell
@@ -270,7 +447,21 @@ def condense(system: System) -> CondensedSystem:
     scols: list[np.ndarray] = []
     svals: list[np.ndarray] = []
     group_data = []
+    nf = len(free_face)
+    plain_loads = None
+    is_plain = _plain_mask(system.cm, plain)
+    if plain is not None:
+        face_pos = np.full(layout.n_total, -1)
+        face_pos[free_face] = np.arange(nf)
+        plain_loads = bmod[plain.cell_dofs]
+        (r, c, v), (pos, load) = plain.schur_terms(plain_loads, face_pos[plain.face_dofs])
+        srows.append(r)
+        scols.append(c)
+        svals.append(v)
+        b_f -= np.bincount(pos, weights=load, minlength=nf)
     for group in pairing_groups(system.cm):
+        if len(group) == 1 and is_plain[group[0]]:
+            continue
         idx_c = np.concatenate(
             [layout.indices(("c", cid, i))
              for cid in group for i in system.cm.cells[cid].sides()]
@@ -294,7 +485,6 @@ def condense(system: System) -> CondensedSystem:
             b_f[active] -= wd.T @ y
         group_data.append((idx_c, fac, bc, w))
 
-    nf = len(free_face)
     if srows:
         correction = sp.coo_matrix(
             (np.concatenate(svals), (np.concatenate(srows), np.concatenate(scols))),
@@ -303,7 +493,7 @@ def condense(system: System) -> CondensedSystem:
     else:
         correction = sp.csr_matrix((nf, nf))
     schur = (a_ff - correction).tocsr()
-    return CondensedSystem(system, schur, b_f, free_face, group_data)
+    return CondensedSystem(system, schur, b_f, free_face, group_data, plain_loads)
 
 
 def solve(system: System, condensed: bool = True) -> np.ndarray:
@@ -327,16 +517,29 @@ def condition_number(system: System, cap: int = 20000) -> float:
 
 
 def energy_error(system: System, x: np.ndarray, case) -> float:
-    """Energy norm of the gradient error against the exact per-side solution."""
+    """Energy norm of the gradient error against the exact per-side solution.
+
+    Plain sub-cells are summed together on the reference element, with
+    one evaluation of ``grad_u`` per side.  Every other sub-cell is summed
+    on its own quadrature with the gradients of its cell basis; its
+    volume tables are not rebuilt.
+    """
     total = 0.0
     ops = system.ops
+    plain = system.plain
     kap = {1: system.kappa[0], 2: system.kappa[1]}
+    is_plain = _plain_mask(system.cm, plain)
+    if plain is not None:
+        total += plain.energy_squared(x, case.grad_u)
     for cid, i in system.cm.sides():
-        t = ops.volume_tables(cid, i)
+        if is_plain[cid]:
+            continue
+        pts, w = ops.volume_quadrature(cid, i)
+        dek1 = ops.cell_basis(cid, i).grad(pts)
         coef = x[system.layout.indices(("c", cid, i))]
-        gh = np.tensordot(t.dek1, coef, axes=([1], [0]))
-        diff = gh - case.grad_u(i, t.pts)
-        total += kap[i] * float(np.sum(t.w * np.sum(diff * diff, axis=1)))
+        gh = np.tensordot(dek1, coef, axes=([1], [0]))
+        diff = gh - case.grad_u(i, pts)
+        total += kap[i] * float(np.sum(w * np.sum(diff * diff, axis=1)))
     return float(np.sqrt(total))
 
 

@@ -235,6 +235,12 @@ def _snapped_signs(values: np.ndarray, dist_est: np.ndarray, tol: float) -> np.n
     return sign
 
 
+def _face_label(mesh: CartesianMesh, fid: int) -> str:
+    """'face <fid> (cells a, b)', naming the cells adjacent to the face."""
+    cells = ", ".join(str(c) for c in mesh.face_cells(fid) if c >= 0)
+    return f"face {fid} (cell{'s' if ',' in cells else ''} {cells})"
+
+
 def classify_faces(mesh: CartesianMesh, levelset: LevelSet,
                    vertex_sign: np.ndarray) -> list[FaceCut]:
     nf = mesh.n_faces
@@ -260,8 +266,11 @@ def classify_faces(mesh: CartesianMesh, levelset: LevelSet,
     flips = np.count_nonzero(full[:, 1:] != full[:, :-1], axis=1)
 
     crossed = s0 * s1 < 0
-    if np.any(flips[~crossed] > 1) or np.any(flips[crossed] > 1):
-        raise GeometryError("disconnected cut: face crossed more than once")
+    multi = np.flatnonzero(flips > 1)
+    if len(multi):
+        raise GeometryError(
+            f"{_face_label(mesh, int(multi[0]))}: disconnected cut: face crossed more than once"
+        )
 
     roots = np.zeros((nf, 2))
     if np.any(crossed):
@@ -284,7 +293,7 @@ def classify_faces(mesh: CartesianMesh, levelset: LevelSet,
             elif abs(vmid[f]) > 0:
                 side = 1 if vmid[f] < 0 else 2
             else:
-                raise GeometryError("face lies on the interface")
+                raise GeometryError(f"{_face_label(mesh, f)}: face lies on the interface")
             faces.append(FaceCut(f, False, None, {side: ends[f]}))
     return faces
 
@@ -599,6 +608,15 @@ class CutMesh:
     def is_ko(self, cid: int, i: int) -> bool:
         c = self.cells[cid]
         return c.kind == ILL_CUT and c.iota == i
+
+    def is_plain(self, cid: int, i: int) -> bool:
+        """Whether (cid, i) is a plain sub-cell: a translated reference square.
+
+        That is an uncut cell without donors whose four faces all lie on
+        its side, so its stencil is the cell and its four whole faces.
+        """
+        return (not self.cells[cid].is_cut and not self.pairing.donors(cid, i)
+                and all(i in self.faces[f].segments for f in self.mesh.cell_faces(cid)))
 
     def cut_cells(self) -> list[int]:
         return [c.cid for c in self.cells if c.is_cut]

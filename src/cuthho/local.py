@@ -24,10 +24,14 @@ What is kept and what is rebuilt: LocalOperators holds the volume tables
 of one sub-cell, the last one asked for.  They are its quadrature, basis
 values, orthonormal reconstruction basis and mass factor; asking for
 another sub-cell rebuilds them, bit for bit the same each time.
-``assemble`` does all of a sub-cell's work while its tables are current,
-so it builds them once, and ``energy_error`` builds them once more.  Cell
-bases and the interface quadrature of each cut cell are kept for the
-lifetime of the operators: donors' receivers read them.
+``assemble`` calls these operators only for the sub-cells that are not
+plain (see ``CutMesh.is_plain``) and once for the reference element that
+stands for all plain ones.  It does all of a sub-cell's work while its
+tables are current, so it builds them once; ``energy_error`` needs only
+the quadrature and the gradients of the cell basis, and takes those
+without the tables.  Cell bases and the interface quadrature of each cut
+cell are kept for the lifetime of the operators: donors' receivers read
+them.
 
 Dof blocks are addressed by keys ('c', cid, side) and ('f', fid, side);
 all operators are returned together with their ordered key stencils.
@@ -237,11 +241,7 @@ class LocalOperators:
         if t is not None and t.cid == cid and t.i == i:
             return t
         self._tables = None  # let the previous sub-cell's tables go first
-        c = self.cm.cells[cid]
-        if c.kind == UNCUT:
-            pts, w = box_rule(*self.cm.mesh.cell_box(cid), self._gauss_n)
-        else:
-            pts, w = map_to_triangles(c.tris[i], *self._tri_ref)
+        pts, w = self.volume_quadrature(cid, i)
         basis = self.cell_basis(cid, i)
         ek = basis.lower(self.k).eval(pts)
         ortho = None
@@ -252,6 +252,13 @@ class LocalOperators:
         self._tables = VolumeTables(cid, i, pts, w, ek, basis.eval(pts),
                                     basis.grad(pts), ortho)
         return self._tables
+
+    def volume_quadrature(self, cid: int, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Points and weights of the volume quadrature of sub-cell (cid, i)."""
+        c = self.cm.cells[cid]
+        if c.kind == UNCUT:
+            return box_rule(*self.cm.mesh.cell_box(cid), self._gauss_n)
+        return map_to_triangles(c.tris[i], *self._tri_ref)
 
     def interface_quadrature(self, cid: int):
         """Points, weights, and pointwise unit normals on the cell's polyline."""

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cuthho import assembly
 from cuthho.assembly import (
@@ -17,6 +18,7 @@ from cuthho.cases import make_case, polynomial_case
 from cuthho.errors import ConfigError, NumericalError
 from cuthho.geometry import build_cut_mesh
 from cuthho.levelset import Circle, Line
+from cuthho.local import LocalOperators
 from cuthho.mesh import build_mesh
 
 CIRCLE = Circle((0.5, 0.5), 1.0 / 3.0)
@@ -111,11 +113,12 @@ def test_cellcell_coupling_only_within_groups():
             gid[cid] = n
     ncell = layout.n_cell_dofs
     acc = system.A[:ncell][:, :ncell].tocoo()
-    # map dof -> cell via the layout blocks
-    owner = np.empty(ncell, dtype=int)
-    for key, (off, size) in layout.blocks.items():
-        if key[0] == "c":
-            owner[off : off + size] = key[1]
+    # map dof -> cell via the layout's cell offsets
+    owner = np.full(ncell, -1)
+    for cid, i in zip(*np.nonzero(layout.cell_offset >= 0)):
+        off = layout.cell_offset[cid, i]
+        owner[off : off + layout.nc] = cid
+    assert np.all(owner >= 0)
     nz = np.abs(acc.data) > 1e-14 * np.abs(acc.data).max()
     for r, c in zip(acc.row[nz], acc.col[nz]):
         assert gid[owner[r]] == gid[owner[c]]
@@ -256,3 +259,67 @@ def test_uncut_mesh_equals_fitted_hho(k):
     got = system.A.toarray()
     scale = np.abs(oracle).max()
     assert np.max(np.abs(got - oracle)) <= 1e-10 * scale
+
+
+# -- reference path for plain sub-cells ------------------------------------
+
+def per_cell_assembly(cm, k, case, eta=20.0):
+    """Oracle: A and b with every sub-cell's terms taken one at a time."""
+    ops, layout = LocalOperators(cm, k), DofLayout.build(cm, k)
+    kap = {1: case.kappa[0], 2: case.kappa[1]}
+    blocks, b = [], np.zeros(layout.n_total)
+    for cid, i in cm.sides():
+        cell = layout.indices(("c", cid, i))
+        if cm.is_ko(cid, i):
+            blocks.append(ops.stiffness_ko(cid, i, kap[i]))
+        else:
+            a, _, bmat, st = ops.stiffness_ok(cid, i, kap[i])
+            blocks.append((a, st))
+            donors = cm.pairing.donors(cid, i)
+            if i == 1 and case.g_D is not None and (cm.cells[cid].is_cut or donors):
+                lift = ops.lifting_coefficients(cid, case.g_D)
+                b[layout.stencil_indices(st)] -= kap[1] * (bmat.T @ lift)
+            blocks += [ops.stab_pairing(cid, i, s, kap[i], eta) for s in donors]
+        blocks.append(ops.stab_circ(cid, i, kap[i]))
+        b[cell] += ops.load_volume(cid, i, case.f)
+        if i == 2 and cm.cells[cid].is_cut:
+            blocks.append(ops.stab_gamma(cid, kap[1]))
+            if case.g_D is not None or case.g_N is not None:
+                r1, r2 = ops.load_interface(cid, kap[1], case.g_D, case.g_N)
+                b[layout.indices(("c", cid, 1))] += r1
+                b[cell] += r2
+    a_mat = sp.csr_matrix((layout.n_total, layout.n_total))
+    for a, st in blocks:
+        idx = layout.stencil_indices(st)
+        a_mat += sp.coo_matrix((a.ravel(), (np.repeat(idx, len(idx)), np.tile(idx, len(idx)))),
+                               shape=a_mat.shape)
+    return a_mat, b
+
+
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("name,level,kappa2", [("sinsin", 1, None), ("jump-mixed", 0, 10.0)])
+def test_reference_path_matches_per_cell_assembly(name, level, kappa2, k):
+    case = make_case(name, kappa2=kappa2)  # jump-mixed: g_D, g_N and kappa1 != kappa2
+    cm = build_cut_mesh(build_mesh(level), case.levelset, theta=0.3, r=4)
+    system = assemble(cm, k, kappa=case.kappa, case=case)
+    plain = system.plain
+    assert set(plain.sides) == {1, 2}
+    assert system.layout.dirichlet[plain.face_dofs].any()  # boundary cells are plain
+    a_ref, b_ref = per_cell_assembly(cm, k, case)
+    assert abs(system.A - a_ref).max() <= 1e-12 * abs(a_ref).max()
+    assert np.abs(system.b - b_ref).max() <= 1e-12 * np.abs(b_ref).max()
+
+    # compared in the energy norm: at k=3, cond(A) ~ 1e10 lets two stable
+    # solvers differ by ~1e-9 in the Euclidean norm, per-group path included
+    x = condense(system).solve()
+    x_full = solve_full(system)
+    d = x - x_full
+    assert d @ (system.A @ d) <= 1e-20 * (x_full @ (system.A @ x_full))
+
+    total = 0.0
+    for cid, i in cm.sides():
+        t = system.ops.volume_tables(cid, i)
+        coef = x[system.layout.indices(("c", cid, i))]
+        diff = np.einsum("pcd,c->pd", t.dek1, coef) - case.grad_u(i, t.pts)
+        total += case.kappa[i - 1] * float(t.w @ np.sum(diff * diff, axis=1))
+    assert abs(energy_error(system, x, case) - np.sqrt(total)) <= 1e-12 * np.sqrt(total)

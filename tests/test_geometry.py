@@ -191,6 +191,17 @@ def test_cut_cell_geometry_error_names_the_cell():
         build_cut_mesh(build_mesh(1), Square(delta=0.5e-8))
 
 
+def test_face_geometry_errors_name_the_face():
+    # the flower's petals cross the vertical face between cells 142 and 143 twice
+    with pytest.raises(GeometryError, match=r"^face 150 \(cells 142, 143\): "
+                       r"disconnected cut: face crossed more than once$"):
+        build_cut_mesh(build_mesh(1), Flower(), r=4)
+    # x = 0.5 is a gridline at level 0; its lowest face lies on the interface
+    with pytest.raises(GeometryError,
+                       match=r"^face 5 \(cells 4, 5\): face lies on the interface$"):
+        build_cut_mesh(build_mesh(0), Line((0.5, 0.0)), r=4)
+
+
 def test_two_crossings_of_one_face_rejected():
     class TwoLines(LevelSet):
         def value(self, pts):

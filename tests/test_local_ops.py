@@ -17,7 +17,7 @@ depends on which tests ran before.
 import numpy as np
 import pytest
 
-from cuthho.assembly import DofLayout, assemble, interpolate_polynomial
+from cuthho.assembly import DofLayout, PlainCells, assemble, interpolate_polynomial
 from cuthho.basis import CellBasis, expand_in_basis, poly_diff
 from cuthho.cases import make_case
 from cuthho.errors import NumericalError
@@ -147,8 +147,48 @@ def test_assemble_builds_each_sub_cell_tables_once(monkeypatch):
 
     monkeypatch.setattr(LocalOperators, "volume_tables", counting)
     assemble(cm, 3, kappa=case.kappa, case=case)
-    assert set(built) == set(cm.sides())
+    # plain sub-cells share the reference element's tables, built on one of them
+    not_plain = {(cid, i) for cid, i in cm.sides() if not cm.is_plain(cid, i)}
+    assert not_plain <= set(built)
     assert {key: len(v) for key, v in built.items() if len(v) != 1} == {}
+
+
+def test_error_pass_quadrature_is_the_tables_bit_for_bit():
+    # energy_error reads the quadrature and the basis gradients without the
+    # tables, so each non-plain sub-cell's contribution must not move
+    cm = build_cut_mesh(build_mesh(0), CIRCLE, theta=0.3, r=4)
+    ops = LocalOperators(cm, 3)
+    for cid, i in cm.sides():
+        pts, w = ops.volume_quadrature(cid, i)
+        t = ops.volume_tables(cid, i)
+        assert np.array_equal(pts, t.pts) and np.array_equal(w, t.w)
+        assert np.array_equal(ops.cell_basis(cid, i).grad(pts), t.dek1)
+
+
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("name,level", [("sinsin", 1), ("jump-mixed", 0)])
+def test_plain_sub_cells_match_the_reference_element(name, level, k):
+    # the reference path rests on this: every plain sub-cell's blocks are the
+    # first plain sub-cell's, and its stencil is the cell, then its four faces
+    # in mesh.cell_faces order
+    case = make_case(name)
+    cm = build_cut_mesh(build_mesh(level), case.levelset, theta=0.3, r=4)
+    ops = LocalOperators(cm, k)
+    plain = PlainCells.build(ops, DofLayout.build(cm, k), case.kappa)
+    assert [(c, i) for c, i in zip(plain.cids, plain.sides)] == [
+        (c, i) for c, i in cm.sides() if cm.is_plain(c, i)]
+    cid0, i0 = plain.cids[0], plain.sides[0]
+    a_ref = ops.stiffness_ok(cid0, i0, 1.0)[0]
+    s_ref = ops.stab_circ(cid0, i0, 1.0)[0]
+    assert np.array_equal(plain.a, a_ref + s_ref)
+    for cid, i in zip(plain.cids, plain.sides):
+        a, _, _, st = ops.stiffness_ok(cid, i, 1.0)
+        s, st_s = ops.stab_circ(cid, i, 1.0)
+        faces = cm.mesh.cell_faces(cid)
+        assert st.keys == st_s.keys == [("c", cid, i)] + [("f", f, i) for f in faces]
+        ek1 = ops.volume_tables(cid, i).ek1
+        for got, ref in ((a, a_ref), (s, s_ref), (ek1, plain.ek1)):
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_plain_gradient_matrix():
