@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cuthho import assembly
+from cuthho import assembly, cli
 from cuthho.assembly import (
     DofLayout,
     assemble,
@@ -17,7 +19,7 @@ from cuthho.assembly import (
 from cuthho.cases import make_case, polynomial_case
 from cuthho.errors import ConfigError, NumericalError
 from cuthho.geometry import build_cut_mesh
-from cuthho.levelset import Circle, Line
+from cuthho.levelset import Circle, Line, Square
 from cuthho.local import LocalOperators
 from cuthho.mesh import build_mesh
 
@@ -167,12 +169,65 @@ def test_energy_error_zero_for_injected_interpolate():
     assert energy_error(system, x, case) <= 1e-10
 
 
-def test_condition_number_size_cap():
+# -- sparse conditioning ---------------------------------------------------
+
+def dense_condition(system):
+    """Oracle: lambda_max / lambda_min from all eigenvalues of the reduced matrix."""
+    ev = np.linalg.eigvalsh(system.reduced()[0].toarray())
+    return float(ev[-1] / ev[0])
+
+
+@pytest.mark.parametrize("levelset", [Square(delta=0.5 * 10.0 ** -p) for p in range(2, 10)]
+                         + [Circle((0.5, 0.5), 1.0 / 3.0 + i / 32.0) for i in (-4, 0, 4)],
+                         ids=[f"square-p{p}" for p in range(2, 10)]
+                         + [f"circle-i{i}" for i in (-4, 0, 4)])
+def test_condition_number_matches_dense_eigenvalues(levelset):
+    cm = build_cut_mesh(build_mesh(0), levelset, theta=0.3, r=8)
+    for k in range(4) if isinstance(levelset, Square) else [3]:
+        system = assemble(cm, k)
+        c = condition_number(system)
+        ref = dense_condition(system)
+        assert abs(c - ref) <= 1e-6 * ref, (k, c, ref)
+        assert condition_number(system) == c  # fixed start vector: bit for bit
+
+
+@pytest.mark.parametrize("breakage", ["singular", "negative definite"])
+def test_condition_number_fails_loudly(breakage):
     system = circle_system(k=1)
-    with pytest.raises(NumericalError, match="matrix too large"):
-        condition_number(system, cap=10)
+    a = system.A.tolil()
+    if breakage == "singular":
+        j = int(np.flatnonzero(system.free)[0])
+        a[j, :] = 0.0
+        a[:, j] = 0.0
+    else:
+        a = -a
+    broken = dataclasses.replace(system, A=a.tocsr())
+    with pytest.raises(NumericalError, match=f"n={int(system.free.sum())}"):
+        condition_number(broken)
+
+
+def test_condition_number_beyond_dense_size(tmp_path):
+    # 32688 free dofs: a dense SVD would need an 8.5 GB matrix
+    out = tmp_path / "cond.csv"
+    assert cli.main(["solve", "--case", "sinsin", "--k", "0", "--level", "3",
+                     "--cond", "--out", str(out)]) == 0
+    row = dict(zip(*(line.split(",") for line in out.read_text().splitlines())))
+    assert row["cond"]
+
+    case = make_case("sinsin")
+    cm = build_cut_mesh(build_mesh(3), case.levelset, theta=0.3, r=case.default_r)
+    system = assemble(cm, 0, kappa=case.kappa)
+    a_red, _ = system.reduced()
+    assert a_red.shape[0] == int(row["ndofs"]) == 32688
     c = condition_number(system)
-    assert c > 1.0
+    assert c == float(row["cond"])  # the matrix does not depend on the data
+    assert np.isfinite(c) and c >= 1.0
+    # Rayleigh quotients lie in [lambda_min, lambda_max]: their spread bounds cond below
+    rng = np.random.default_rng(5)
+    quotients = [v @ (a_red @ v) / (v @ v)
+                 for v in rng.standard_normal((8, a_red.shape[0]))]
+    quotients += [a_red.diagonal().max(), a_red.diagonal().min()]  # unit vectors
+    assert c >= max(quotients) / min(quotients)
 
 
 # -- equality with a fitted mixed-order HHO assembly on an uncut mesh ----

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from cuthho.cases import (
 )
 from cuthho.cli import main
 from cuthho.errors import ConfigError
+from cuthho.geometry import build_cut_mesh
 from cuthho.levelset import Circle, interface_clear_of_boundary
 from cuthho.study import (
     CSV_COLUMNS,
@@ -135,6 +138,23 @@ def test_conditioning_circle_radius_sweep():
     assert len(recs) == 2
     assert all(r.cond and r.cond > 1 for r in recs)
     assert recs[0].case == "circle[i=-1]"
+
+
+def test_conditioning_builds_one_cut_mesh_per_sweep_point(monkeypatch):
+    built = []
+
+    def counting_build(*args, **kwargs):
+        built.append(args[1])
+        return build_cut_mesh(*args, **kwargs)
+
+    monkeypatch.setattr(study, "build_cut_mesh", counting_build)
+    recs = conditioning_study("circle", [-1, 0], [0, 1], level=0, r=4)
+    assert len(built) == 2
+    monkeypatch.undo()
+    one_k = [rec for i in (-1, 0) for k in (0, 1)
+             for rec in conditioning_study("circle", [i], [k], level=0, r=4)]
+    assert [dataclasses.replace(rec, wall_time_s=0.0) for rec in recs] == [
+        dataclasses.replace(rec, wall_time_s=0.0) for rec in one_k]
 
 
 def test_conditioning_square_far_away_is_uncut():
