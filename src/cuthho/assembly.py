@@ -3,9 +3,10 @@
 Cell dofs come first (cell id, then side), face dofs follow, so the
 assembled matrix exhibits the cell/face block decomposition directly.
 Dirichlet face dofs on the domain boundary are eliminated by row/column
-deletion with the boundary data moved to the right-hand side; static
-condensation eliminates the cell dofs of every pairing group (connected
-component of the pairing graph) through one dense factorization each.
+deletion with the boundary data moved to the right-hand side.  The cell
+block is block diagonal, one block per pairing group (connected component
+of the pairing graph), and static condensation eliminates every group
+through one block-diagonal inverse Cholesky factor of it.
 """
 
 from __future__ import annotations
@@ -17,11 +18,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import solve as dense_solve
+from scipy.linalg import solve_triangular
+from scipy.sparse.csgraph import connected_components
 
 from .basis import expand_in_basis, poly_eval, space_dimension
 from .errors import ConfigError, NumericalError
 from .geometry import CutMesh
-from .local import Key, LocalOperators, ScaledCholesky
+from .local import Key, LocalOperators, jacobi_scaled
 
 
 @dataclass
@@ -81,7 +84,7 @@ class DofLayout:
 
 @dataclass
 class PlainCells:
-    """All plain sub-cells of a cut mesh, handled as one reference element.
+    """Plain sub-cells as one reference element, for assembly and the energy error.
 
     A plain sub-cell (``CutMesh.is_plain``) is an uncut square without
     donors.  Its basis is centred at the cell centre and scaled by h/2, so
@@ -91,7 +94,8 @@ class PlainCells:
     the same LocalOperators calls as any other sub-cell, and each plain
     sub-cell uses them scaled by the kappa of its side.  The local
     stencil is the cell block, then the left, right, bottom and top face
-    blocks.
+    blocks.  Condensation does not use it: a plain sub-cell is a pairing
+    group of its own there, eliminated like any other group.
     """
 
     cids: np.ndarray  # (n,)
@@ -166,45 +170,6 @@ class PlainCells:
             total += float(self.kappa[sel] @ (np.sum(diff * diff, axis=2) @ self.w))
         return total
 
-    # -- static condensation -------------------------------------------
-
-    @functools.cached_property
-    def cell_factor(self) -> ScaledCholesky:
-        try:
-            return ScaledCholesky(self.a[: self.nc, : self.nc], "plain cell block")
-        except NumericalError as exc:
-            raise NumericalError("singular cell block of the plain sub-cells") from exc
-
-    def schur_terms(self, bc: np.ndarray, face_pos: np.ndarray):
-        """Schur triplets and condensed loads of all plain sub-cells.
-
-        ``bc`` holds the cells' loads, (n, nc); ``face_pos`` maps each of
-        their face dofs to its free face number, -1 on Dirichlet faces.
-        Returns (rows, cols, values) to subtract from the face block and
-        (positions, values) to subtract from the face load.
-        """
-        nc = self.nc
-        a_cf, a_fc = self.a[:nc, nc:], self.a[nc:, :nc]
-        schur = a_fc @ self.cell_factor.solve(a_cf)  # at kappa = 1
-        width = face_pos.shape[1]
-        rows = np.repeat(face_pos, width, axis=1).ravel()
-        cols = np.tile(face_pos, (1, width)).ravel()
-        vals = (self.kappa[:, None] * schur.ravel()[None, :]).ravel()
-        keep = (rows >= 0) & (cols >= 0)
-        load = (a_fc @ self.cell_factor.solve(bc.T)).T  # kappa cancels
-        free = face_pos >= 0
-        return (rows[keep], cols[keep], vals[keep]), (face_pos[free], load[free])
-
-    def back_substitute(self, bc: np.ndarray, xf: np.ndarray) -> np.ndarray:
-        """Cell dofs from the loads ``bc`` and the cells' face values ``xf``.
-
-        ``xf`` is (n, 4 nf), zero on Dirichlet faces (their values are
-        already in ``bc``).
-        """
-        nc = self.nc
-        rhs = bc.T / self.kappa[None, :] - self.a[:nc, nc:] @ xf.T
-        return self.cell_factor.solve(rhs).T
-
 
 def _plain_mask(cm: CutMesh, plain: PlainCells | None) -> np.ndarray:
     """Whether each cell is plain; a plain cell has one sub-cell."""
@@ -230,10 +195,6 @@ class System:
     @property
     def free(self) -> np.ndarray:
         return ~self.layout.dirichlet
-
-    @property
-    def n_dofs(self) -> int:
-        return self.layout.n_total
 
     def reduced(self) -> tuple[sp.csr_matrix, np.ndarray]:
         """Dirichlet-eliminated matrix and right-hand side."""
@@ -263,7 +224,12 @@ def assemble(cm: CutMesh, k: int, kappa: tuple[float, float] = (1.0, 1.0),
     each sub-cell's tables are built once.  Each kind of term keeps its
     own triplet list, and the loads are added to ``b`` after the
     liftings, each cell's volume load before its interface load.
+
+    The two paths meet in ``A`` and ``b``: ``condense`` and ``solve_full``
+    do not tell plain sub-cells from the others.
     """
+    if not 0 <= k <= 3:
+        raise ConfigError("polynomial degree k must be in 0..3")
     if not kappa[0] <= kappa[1]:
         raise ConfigError("kappa1 <= kappa2 is required; relabel the sides")
     ops = LocalOperators(cm, k)
@@ -393,121 +359,93 @@ def solve_full(system: System) -> np.ndarray:
 
 
 def pairing_groups(cm: CutMesh) -> list[list[int]]:
-    """Connected components of the pairing graph, singletons included."""
-    parent = list(range(cm.mesh.n_cells))
+    """Connected components of the pairing graph, singletons included.
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for s, t in cm.pairing.partner.items():
-        ra, rb = find(s), find(t)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    groups: dict[int, list[int]] = {}
-    for cid in range(cm.mesh.n_cells):
-        groups.setdefault(find(cid), []).append(cid)
-    return [sorted(g) for _, g in sorted(groups.items())]
+    Each group is sorted, and the groups are in order of their first cell.
+    """
+    n = cm.mesh.n_cells
+    edges = np.array(list(cm.pairing.partner.items()), dtype=int).reshape(-1, 2)
+    graph = sp.coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n))
+    label = connected_components(graph, directed=False)[1]  # numbered by first cell
+    order = np.argsort(label, kind="stable")
+    return [g.tolist() for g in np.split(order, np.cumsum(np.bincount(label))[:-1])]
 
 
 @dataclass
 class CondensedSystem:
+    """Face-only Schur system, with X, Y = X^T A_cf and z = X^T b_c of ``condense``."""
+
     system: System
     schur: sp.csr_matrix
     rhs: np.ndarray
     face_free: np.ndarray  # global indices of free face dofs
-    group_data: list[tuple[np.ndarray, object, np.ndarray, sp.csr_matrix]]
-    plain_loads: np.ndarray | None  # (n, nc) loads of the plain sub-cells
+    x: sp.csr_matrix
+    y: sp.csr_matrix
+    z: np.ndarray
 
     def solve(self) -> np.ndarray:
-        """Schur solve, then back-substitution: one multi-RHS solve for all
-        plain sub-cells and one per remaining group."""
-        sysm = self.system
-        x = sysm.dirichlet_values.copy()
+        """Schur solve, then x_c = X (z - Y x_f) for all cells at once."""
+        x = self.system.dirichlet_values.copy()
         xf = _lu_solve(self.schur, self.rhs, "condensed") if len(self.rhs) else np.zeros(0)
         x[self.face_free] = xf
-        plain = sysm.plain
-        if plain is not None:
-            free = np.zeros(sysm.layout.n_total)
-            free[self.face_free] = xf
-            x[plain.cell_dofs] = plain.back_substitute(self.plain_loads,
-                                                       free[plain.face_dofs])
-        for idx_c, fac, bc, w in self.group_data:
-            x[idx_c] = fac.solve(bc - w @ xf)
+        x[: len(self.z)] = self.x @ (self.z - self.y @ xf)
         return x
 
 
-def condense(system: System) -> CondensedSystem:
-    """Eliminate cell dofs groupwise, leaving a face-only Schur system.
+def _inverse_cell_factor(system: System, a_cc: sp.csr_matrix) -> sp.csr_matrix:
+    """Block-diagonal X with X^T A_cc X = I, one block per pairing group.
 
-    The plain sub-cells are singleton groups that share one cell block up
-    to kappa: they are eliminated together with one factorization of the
-    reference block and batched products.  Every other pairing group is
-    sliced out of the matrix and factorized on its own.
+    The blocks of all groups of one size are read from A_cc at once,
+    scaled and guarded by ``jacobi_scaled`` and factored as one stack:
+    with D the diagonal and U^T U the Cholesky factorization of the scaled
+    block, the group's block of X is D^-1/2 U^-1, upper triangular, as in
+    ``ScaledCholesky.inverse_factor``.
+    """
+    groups = pairing_groups(system.cm)
+    first = [system.layout.cell_offset[g, 1:] for g in groups]
+    first = [f[f >= 0] for f in first]  # first dof of each sub-cell, by cell then side
+    rows, cols, vals = [], [], []
+    for q in sorted({len(f) for f in first}):
+        sel = [j for j, f in enumerate(first) if len(f) == q]
+        dofs = (np.array([first[j] for j in sel])[:, :, None]
+                + np.arange(system.layout.nc)).reshape(len(sel), -1)
+        s = dofs.shape[1]
+        blocks = np.asarray(a_cc[np.repeat(dofs, s, axis=1).ravel(),
+                                 np.tile(dofs, s).ravel()]).reshape(-1, s, s)
+        d, ms = jacobi_scaled(blocks, lambda j: f"cell block in group {groups[sel[j]]}")
+        try:
+            u = np.linalg.cholesky(ms).swapaxes(1, 2)  # ms = u^T u
+        except np.linalg.LinAlgError as exc:  # pragma: no cover
+            raise NumericalError(f"singular cell block of size {s}") from exc
+        eye = np.broadcast_to(np.eye(s), u.shape)
+        x = solve_triangular(u, eye, lower=False) / d[:, :, None]
+        r, c = np.triu_indices(s)
+        rows.append(dofs[:, r].ravel())
+        cols.append(dofs[:, c].ravel())
+        vals.append(x[:, r, c].ravel())
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=a_cc.shape).tocsr()
+
+
+def condense(system: System) -> CondensedSystem:
+    """Eliminate the cell dofs, leaving a face-only Schur system.
+
+    A_cc is block diagonal, one block per pairing group (a plain sub-cell
+    is a group of its own), so its inverse Cholesky factor X is block
+    diagonal too.  With Y = X^T A_cf the elimination is the same few
+    sparse products for every group: S = A_ff - Y^T Y and
+    rhs = b_f - Y^T X^T b_c.
     """
     layout = system.layout
-    plain = system.plain
     ncell = layout.n_cell_dofs
     bmod = system.b - system.A @ system.dirichlet_values
     free_face = np.where(~layout.dirichlet[ncell:])[0] + ncell
-    a_cf = system.A[:ncell][:, free_face].tocsr()
-    a_cc = system.A[:ncell][:, :ncell].tocsr()
-    a_ff = system.A[free_face][:, free_face].tocsr()
-    b_f = bmod[free_face].copy()
-
-    srows: list[np.ndarray] = []
-    scols: list[np.ndarray] = []
-    svals: list[np.ndarray] = []
-    group_data = []
-    nf = len(free_face)
-    plain_loads = None
-    is_plain = _plain_mask(system.cm, plain)
-    if plain is not None:
-        face_pos = np.full(layout.n_total, -1)
-        face_pos[free_face] = np.arange(nf)
-        plain_loads = bmod[plain.cell_dofs]
-        (r, c, v), (pos, load) = plain.schur_terms(plain_loads, face_pos[plain.face_dofs])
-        srows.append(r)
-        scols.append(c)
-        svals.append(v)
-        b_f -= np.bincount(pos, weights=load, minlength=nf)
-    for group in pairing_groups(system.cm):
-        if len(group) == 1 and is_plain[group[0]]:
-            continue
-        idx_c = np.concatenate(
-            [layout.indices(("c", cid, i))
-             for cid in group for i in system.cm.cells[cid].sides()]
-        )
-        acc = a_cc[idx_c][:, idx_c].toarray()
-        try:
-            fac = ScaledCholesky(acc, f"cell block in group {group}")
-        except (np.linalg.LinAlgError, NumericalError) as exc:
-            raise NumericalError(f"singular cell block in group {group}") from exc
-        w = a_cf[idx_c]
-        active = np.unique(w.indices) if w.nnz else np.zeros(0, dtype=int)
-        bc = bmod[idx_c]
-        y = fac.solve(bc)
-        if len(active):
-            wd = w[:, active].toarray()
-            xw = fac.solve(wd)
-            local = wd.T @ xw
-            srows.append(np.repeat(active, len(active)))
-            scols.append(np.tile(active, len(active)))
-            svals.append(local.ravel())
-            b_f[active] -= wd.T @ y
-        group_data.append((idx_c, fac, bc, w))
-
-    if srows:
-        correction = sp.coo_matrix(
-            (np.concatenate(svals), (np.concatenate(srows), np.concatenate(scols))),
-            shape=(nf, nf),
-        ).tocsr()
-    else:
-        correction = sp.csr_matrix((nf, nf))
-    schur = (a_ff - correction).tocsr()
-    return CondensedSystem(system, schur, b_f, free_face, group_data, plain_loads)
+    a_c = system.A[:ncell]
+    x = _inverse_cell_factor(system, a_c[:, :ncell])
+    y = x.T @ a_c[:, free_face]
+    z = x.T @ bmod[:ncell]
+    schur = (system.A[free_face][:, free_face] - y.T @ y).tocsr()
+    return CondensedSystem(system, schur, bmod[free_face] - y.T @ z, free_face, x, y, z)
 
 
 def solve(system: System, condensed: bool = True) -> np.ndarray:

@@ -61,25 +61,39 @@ Key = tuple[str, int, int]
 _MASS_COND_LIMIT = 1e14
 
 
+def jacobi_scaled(m: np.ndarray, name) -> tuple[np.ndarray, np.ndarray]:
+    """Square roots d of the diagonals of a stack of SPD matrices (n, s, s),
+    and the matrices scaled by them, D^-1/2 m D^-1/2.
+
+    The guard raises NumericalError("singular " + name(j)) for the first
+    matrix j whose diagonal is not positive and finite, or whose scaled
+    matrix is not positive definite to a condition number of 1e14.  It
+    applies to the scaled matrix, so it flags genuine degeneracy rather
+    than scale.
+    """
+    diag = np.diagonal(m, axis1=1, axis2=2)
+    bad = np.any((diag <= 0.0) | ~np.isfinite(diag), axis=1)
+    if not bad.any():
+        d = np.sqrt(diag)
+        ms = m / (d[:, :, None] * d[:, None, :])
+        ev = np.linalg.eigvalsh(ms)
+        bad = (ev[:, 0] <= 0.0) | (ev[:, -1] > _MASS_COND_LIMIT * ev[:, 0])
+    if bad.any():
+        raise NumericalError(f"singular {name(np.argmax(bad))}")
+    return d, ms
+
+
 class ScaledCholesky:
-    """Cholesky solve with Jacobi preconditioning.
+    """Cholesky solve with Jacobi preconditioning (``jacobi_scaled``).
 
     Monomial Gram matrices on thin sliver sub-cells are ill-conditioned
     purely through the row/column scales; factoring D^-1/2 M D^-1/2
-    instead keeps the solve accurate without changing the basis.  The
-    conditioning guard applies to the scaled matrix, so it flags genuine
-    degeneracy rather than scale.
+    instead keeps the solve accurate without changing the basis.
     """
 
     def __init__(self, m: np.ndarray, what: str):
-        d = np.diag(m).copy()
-        if np.any(d <= 0.0) or not np.all(np.isfinite(d)):
-            raise NumericalError(f"singular mass matrix: {what}")
-        self.d = np.sqrt(d)
-        self.ms = m / np.outer(self.d, self.d)
-        ev = np.linalg.eigvalsh(self.ms)
-        if ev[0] <= 0.0 or ev[-1] / ev[0] > _MASS_COND_LIMIT:
-            raise NumericalError(f"singular mass matrix: {what}")
+        d, ms = jacobi_scaled(m[None], lambda _: f"mass matrix: {what}")
+        self.d, self.ms = d[0], ms[0]
         try:
             self.fac = cho_factor(self.ms)
         except np.linalg.LinAlgError as exc:  # pragma: no cover

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -204,6 +205,25 @@ def test_condition_number_fails_loudly(breakage):
     broken = dataclasses.replace(system, A=a.tocsr())
     with pytest.raises(NumericalError, match=f"n={int(system.free.sum())}"):
         condition_number(broken)
+
+
+@pytest.mark.parametrize("where", ["plain cell", "largest pairing group"])
+def test_condense_fails_loudly_on_a_singular_cell_block(where):
+    system = circle_system(k=1)
+    groups = pairing_groups(system.cm)
+    if where == "plain cell":
+        group = groups[0]
+        assert group[0] in system.plain.cids
+    else:
+        group = max(groups, key=len)
+        assert len(group) == 4
+    j = system.layout.cell_offset[group[-1], 1:].max()  # a cell dof of the group
+    a = system.A.tolil()
+    a[j, :] = 0.0
+    a[:, j] = 0.0
+    message = f"singular cell block in group {group}"
+    with pytest.raises(NumericalError, match=re.escape(message)):
+        condense(dataclasses.replace(system, A=a.tocsr()))
 
 
 def test_condition_number_beyond_dense_size(tmp_path):

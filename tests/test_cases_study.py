@@ -249,3 +249,18 @@ def test_cli_study_theta(tmp_path):
     ])
     assert code == 0
     assert len(out.read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["study", "convergence", "--case", "sinsin", "--k", "5", "--levels", "0"],
+    ["study", "convergence", "--case", "sinsin", "--k", "1", "--levels", "11"],
+    ["study", "theta", "--case", "sinsin", "--theta", "0.3", "--k", "5", "--levels", "0"],
+    ["study", "conditioning", "--interface", "circle", "--sweep", "0", "--k", "-1"],
+    ["study", "conditioning", "--interface", "circle", "--sweep", "0", "--k", "4"],
+])
+def test_cli_study_exit_code_bad_config(argv, tmp_path, capsys):
+    # a configuration error ends a study, rather than leaving a partial report
+    out = tmp_path / "study.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
