@@ -203,6 +203,16 @@ class System:
         return self.A[free][:, free].tocsr(), bmod[free]
 
 
+def check_degree(k: int) -> None:
+    """Reject a polynomial degree outside 0..3 with a ``ConfigError``.
+
+    Callers that build a cut mesh call it first, so a bad degree costs
+    no geometry.
+    """
+    if not 0 <= k <= 3:
+        raise ConfigError("polynomial degree k must be in 0..3")
+
+
 def assemble(cm: CutMesh, k: int, kappa: tuple[float, float] = (1.0, 1.0),
              eta: float = 20.0, case=None) -> System:
     """Assemble the stiffness matrix and load vector on a cut mesh.
@@ -228,8 +238,7 @@ def assemble(cm: CutMesh, k: int, kappa: tuple[float, float] = (1.0, 1.0),
     The two paths meet in ``A`` and ``b``: ``condense`` and ``solve_full``
     do not tell plain sub-cells from the others.
     """
-    if not 0 <= k <= 3:
-        raise ConfigError("polynomial degree k must be in 0..3")
+    check_degree(k)
     if not kappa[0] <= kappa[1]:
         raise ConfigError("kappa1 <= kappa2 is required; relabel the sides")
     ops = LocalOperators(cm, k)

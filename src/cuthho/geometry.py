@@ -8,6 +8,13 @@ estimates driving the well-cut / ill-cut classification, and the pairing
 map that assigns every ill-cut cell a neighbor with a usable sub-cell on
 the failing side.
 
+The polyline refinement is batched over cells: ``build_cut_mesh`` walks
+the boundary of every cut cell first, then refines the polylines of all
+of them together, one projection per refinement level and block of
+cells, and then triangulates and classifies the cells in cell order.
+A cell's polyline is bit for bit the one it would get alone, and the
+error reported is that of the first faulty cell in cell order.
+
 Each background face is assumed to be crossed at most once and each cut
 cell to contain a single interface arc with two boundary crossings;
 anything else raises :class:`GeometryError` instead of silently
@@ -17,6 +24,7 @@ mis-triangulating.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +40,7 @@ ILL_CUT = "ill"
 SNAP_REL = 1e-12  # endpoint snap, relative to the cell size
 GRID_M = 8  # per-cell sample grid for classification
 _BISECT_ITERS = 48
+_POLYLINE_BLOCK = 2**14  # finest-level midpoints per batched projection
 
 
 # ----------------------------------------------------------------------
@@ -81,7 +90,7 @@ def project_onto_interface(points: np.ndarray, dirs: np.ndarray,
     m = len(points)
     ts = spans[:, None] * np.linspace(-1.0, 1.0, 2 * nscan + 1)[None, :]
     probe = points[:, None, :] + ts[:, :, None] * dirs[:, None, :]
-    vals = levelset.value(probe.reshape(-1, 2)).reshape(m, -1)
+    vals = levelset.value(probe.reshape(-1, 2)).reshape(ts.shape)
     neg = np.signbit(vals)
     change = neg[:, 1:] != neg[:, :-1]
     mid_dist = np.abs(0.5 * (ts[:, 1:] + ts[:, :-1]))
@@ -105,24 +114,36 @@ def project_onto_interface(points: np.ndarray, dirs: np.ndarray,
 
 
 def build_polyline(a, b, levelset: LevelSet, r: int) -> np.ndarray:
-    """Polyline with 2**r chords from a to b along the interface.
+    """Polylines with 2**r chords along the interface, one per endpoint row.
 
-    Each refinement level projects the current chord midpoints onto the
-    zero set along the level-set gradient.
+    ``a`` and ``b`` hold m endpoint pairs, shape (m, 2); the result has
+    shape (m, 2**r + 1, 2) and row j runs from a[j] to b[j].  The
+    refinement is batched over the rows: each level projects the current
+    chord midpoints of a whole block of rows onto the zero set along the
+    level-set gradient in one ``project_onto_interface`` call.  A block
+    holds at most ``_POLYLINE_BLOCK`` midpoints at the finest level, which
+    bounds the memory of the projection's scan.  Every point's arithmetic
+    is elementwise, so a row does not depend on the others.
     """
-    pts = np.vstack([np.asarray(a, float), np.asarray(b, float)])
-    for _ in range(r):
-        mids = 0.5 * (pts[:-1] + pts[1:])
-        spans = np.linalg.norm(pts[1:] - pts[:-1], axis=1)
-        grad = levelset.gradient(mids)
-        norms = np.linalg.norm(grad, axis=1, keepdims=True)
-        dirs = np.divide(grad, np.maximum(norms, 1e-300))
-        proj = project_onto_interface(mids, dirs, levelset, spans)
-        out = np.empty((2 * len(pts) - 1, 2))
-        out[0::2] = pts
-        out[1::2] = proj
-        pts = out
-    return pts
+    ends = np.stack([np.asarray(a, float), np.asarray(b, float)], axis=1)
+    out = np.empty((len(ends), 2**r + 1, 2))
+    rows = max(1, _POLYLINE_BLOCK >> max(r - 1, 0))
+    for lo in range(0, len(ends), rows):
+        pts = ends[lo:lo + rows]
+        m = len(pts)
+        for _ in range(r):
+            mids = (0.5 * (pts[:, :-1] + pts[:, 1:])).reshape(-1, 2)
+            spans = np.linalg.norm(pts[:, 1:] - pts[:, :-1], axis=2).ravel()
+            grad = levelset.gradient(mids)
+            norms = np.linalg.norm(grad, axis=1, keepdims=True)
+            dirs = np.divide(grad, np.maximum(norms, 1e-300))
+            proj = project_onto_interface(mids, dirs, levelset, spans)
+            finer = np.empty((m, 2 * pts.shape[1] - 1, 2))
+            finer[:, 0::2] = pts
+            finer[:, 1::2] = proj.reshape(m, pts.shape[1] - 1, 2)
+            pts = finer
+        out[lo:lo + m] = pts
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -358,15 +379,22 @@ def _rho_estimate(levelset: LevelSet, box, tris: np.ndarray,
     return float(np.max(np.minimum(np.maximum(d_box, 0.0), d_gamma)))
 
 
-def _classify_cut_cell(mesh: CartesianMesh, levelset: LevelSet, cid: int,
-                       face_cuts: list[FaceCut], corner_sign: np.ndarray,
-                       theta: float, r: int,
-                       grid_pts: np.ndarray, grid_neg: np.ndarray) -> CellCut:
-    cell_area = mesh.cell_size**2
+class _Walk(NamedTuple):
+    """A cut cell's boundary walk: crossings a, b and the corners between."""
+
+    a: np.ndarray
+    b: np.ndarray
+    side1: int  # side of chain1, the corners met walking CCW from a to b
+    chain1: list[np.ndarray]
+    side2: int  # side of chain2, the corners met walking CCW from b to a
+    chain2: list[np.ndarray]
+
+
+def _walk_cut_cell(mesh: CartesianMesh, cid: int, face_cuts: list[FaceCut],
+                   corner_sign: np.ndarray) -> _Walk:
     corners = mesh.cell_vertices(cid)
     left, right, bottom, top = mesh.cell_faces(cid)
     walk_faces = (bottom, right, top, left)  # CCW edge order
-    reverse = (False, False, True, True)
 
     entries: list[tuple[str, np.ndarray, int]] = []
     ncross = 0
@@ -387,8 +415,6 @@ def _classify_cut_cell(mesh: CartesianMesh, levelset: LevelSet, cid: int,
     if not chain1 or not chain2:
         raise GeometryError("disconnected cut: crossing at a cell corner")
 
-    polyline = build_polyline(a, b, levelset, r)
-
     def chain_side(chain):
         signs = [s for kind, _, s in chain if kind == "corner" and s != 0]
         if not signs or len(set(signs)) != 1:
@@ -399,22 +425,28 @@ def _classify_cut_cell(mesh: CartesianMesh, levelset: LevelSet, cid: int,
     side2 = chain_side(chain2)
     if side1 == side2:
         raise GeometryError("disconnected cut: both chains on one side")
+    return _Walk(a, b, side1, [p for _, p, _ in chain1],
+                 side2, [p for _, p, _ in chain2])
 
+
+def _classify_cut_cell(mesh: CartesianMesh, levelset: LevelSet, cid: int,
+                       walk: _Walk, polyline: np.ndarray, theta: float,
+                       grid_pts: np.ndarray, grid_neg: np.ndarray) -> CellCut:
+    cell_area = mesh.cell_size**2
+    a, b = walk.a, walk.b
     interior = polyline[1:-1]
     polys = {
         # chain1 runs a -> b, close it with the polyline walked b -> a
-        side1: np.vstack([a[None, :], [p for _, p, _ in chain1], b[None, :],
-                          interior[::-1]]),
-        side2: np.vstack([b[None, :], [p for _, p, _ in chain2], a[None, :],
-                          interior]),
+        walk.side1: np.vstack([a[None, :], walk.chain1, b[None, :], interior[::-1]]),
+        walk.side2: np.vstack([b[None, :], walk.chain2, a[None, :], interior]),
     }
 
     cc = CellCut(cid, WELL_CUT, None, polyline=polyline)
     box = mesh.cell_box(cid)
     chain_anchors = {
         # chain corners rescue the sub-cells that are concave along the arc
-        side1: tuple(p for _, p, _ in chain1),
-        side2: tuple(p for _, p, _ in chain2),
+        walk.side1: tuple(walk.chain1),
+        walk.side2: tuple(walk.chain2),
     }
     for i in (1, 2):
         tris = triangulate_polygon(polys[i], cell_area,
@@ -480,11 +512,23 @@ def build_cut_mesh(mesh: CartesianMesh, levelset: LevelSet, theta: float = 0.3,
             (iy + 1) * (n + 1) + ix,
         ]
 
+    # walk every cut cell first, keeping its error for the pass in cell order
+    walks: dict[int, _Walk | GeometryError] = {}
+    for cid in np.flatnonzero(cell_has_crossing).tolist():
+        try:
+            walks[cid] = _walk_cut_cell(mesh, cid, face_cuts,
+                                        vertex_sign[corner_vids(cid)])
+        except GeometryError as exc:
+            walks[cid] = exc
+    arcs = [cid for cid, w in walks.items() if isinstance(w, _Walk)]
+    ends = np.array([(walks[cid].a, walks[cid].b) for cid in arcs]).reshape(-1, 2, 2)
+    polylines = dict(zip(arcs, build_polyline(ends[:, 0], ends[:, 1], levelset, r)))
+
     cells: list[CellCut] = []
     for cid in range(mesh.n_cells):
-        csign = vertex_sign[corner_vids(cid)]
         neg = gneg[cid]
         if not cell_has_crossing[cid]:
+            csign = vertex_sign[corner_vids(cid)]
             has_neg = bool(neg.any() or (csign < 0).any())
             has_pos = bool((~neg).any() or (csign > 0).any())
             if has_neg and has_pos:
@@ -498,10 +542,13 @@ def build_cut_mesh(mesh: CartesianMesh, levelset: LevelSet, theta: float = 0.3,
             cc.rho[side] = 0.5 * s
             cells.append(cc)
         else:
+            walk = walks[cid]
             try:
+                if isinstance(walk, GeometryError):
+                    raise walk
                 cells.append(
-                    _classify_cut_cell(mesh, levelset, cid, face_cuts, csign,
-                                       theta, r, gpts[cid], neg)
+                    _classify_cut_cell(mesh, levelset, cid, walk, polylines[cid],
+                                       theta, gpts[cid], neg)
                 )
             except GeometryError as exc:
                 raise GeometryError(f"cell {cid}: {exc}") from exc

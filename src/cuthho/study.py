@@ -79,6 +79,7 @@ def solve_single(case: Case, k: int, level: int, r: int | None = None,
                  want_cond: bool = False, condensed: bool = True,
                  check_case: bool = True):
     """Run one solve; returns (record, system, solution)."""
+    assembly.check_degree(k)
     if check_case:
         verify_case(case)
     r_eff = case.default_r if r is None else r
@@ -137,6 +138,8 @@ def conditioning_study(interface: str, sweep, ks, level: int = 0,
     The cut mesh does not depend on k, so it is built once per sweep
     point; its build time is charged to the first k's ``wall_time_s``.
     """
+    for k in ks:
+        assembly.check_degree(k)
     records = []
     mesh = build_mesh(level)
     for val in sweep:

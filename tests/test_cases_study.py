@@ -264,3 +264,16 @@ def test_cli_study_exit_code_bad_config(argv, tmp_path, capsys):
     assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--case", "sinsin", "--k", "5", "--level", "3"],
+    ["study", "conditioning", "--interface", "square", "--sweep", "2", "--k", "4"],
+])
+def test_cli_bad_degree_rejected_before_geometry(argv, monkeypatch, capsys):
+    def no_geometry(*args, **kwargs):
+        raise AssertionError("cut mesh built before the degree check")
+
+    monkeypatch.setattr(study, "build_cut_mesh", no_geometry)
+    assert main(argv) == 2
+    assert "polynomial degree k must be in 0..3" in capsys.readouterr().err

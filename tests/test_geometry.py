@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuthho import geometry
 from cuthho.errors import GeometryError, PairingError
 from cuthho.geometry import (
     ILL_CUT,
@@ -13,6 +16,7 @@ from cuthho.geometry import (
     build_pairing,
     build_polyline,
     intersect_edge,
+    project_onto_interface,
 )
 from cuthho.levelset import Circle, Flower, LevelSet, Line, Square
 from cuthho.mesh import build_mesh
@@ -48,20 +52,20 @@ def test_intersect_edge_requires_sign_change():
 
 def test_polyline_straight_interface_collinear():
     line = Line((0.37, 0.0))
-    pts = build_polyline((0.37, 0.0), (0.37, 0.1), line, r=5)
-    assert len(pts) == 2**5 + 1
-    assert np.max(np.abs(pts[:, 0] - 0.37)) <= 1e-13
+    pts = build_polyline([(0.37, 0.0)], [(0.37, 0.1)], line, r=5)
+    assert pts.shape == (1, 2**5 + 1, 2)
+    assert np.max(np.abs(pts[0, :, 0] - 0.37)) <= 1e-13
 
 
 def test_polyline_r0_is_chord():
-    pts = build_polyline((0.0, 0.0), (1.0, 1.0), Line((0.5, 0.0)), r=0)
-    assert pts.shape == (2, 2)
+    pts = build_polyline([(0.0, 0.0)], [(1.0, 1.0)], Line((0.5, 0.0)), r=0)
+    assert pts.shape == (1, 2, 2)
 
 
 def test_polyline_points_on_interface():
     a = intersect_edge((0.8, 0.5), (0.9, 0.5), CIRCLE)
     b = intersect_edge((0.8, 0.6), (0.8, 0.7), CIRCLE)
-    pts = build_polyline(a, b, CIRCLE, r=6)
+    pts = build_polyline(a[None, :], b[None, :], CIRCLE, r=6)[0]
     h = np.sqrt(2) * 0.1
     assert np.max(np.abs(CIRCLE.value(pts))) <= 1e-12 * h
 
@@ -80,6 +84,65 @@ def test_polyline_arclength_second_order():
     assert errors[1] > 0 and errors[2] > 0
     assert errors[0] / errors[1] >= 3.0
     assert errors[1] / errors[2] >= 3.0
+
+
+def test_polyline_refinement_batched_over_cells(monkeypatch):
+    # one projection per refinement level for the whole mesh, not per cell
+    calls = []
+
+    def counting_project(points, *args, **kwargs):
+        calls.append(len(points))
+        return project_onto_interface(points, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "project_onto_interface", counting_project)
+    m = build_mesh(2)
+    whole = build_cut_mesh(m, Circle(), r=8)
+    n_cut = len(whole.cut_cells())
+    assert calls == [n_cut * 2**j for j in range(8)]
+
+    # blocks of two cells: more projections, bit for bit the same polylines
+    calls.clear()
+    monkeypatch.setattr(geometry, "_POLYLINE_BLOCK", 2**8)
+    blocked = build_cut_mesh(m, Circle(), r=8)
+    assert len(calls) == 8 * -(-n_cut // 2)
+    for cid in whole.cut_cells():
+        assert np.array_equal(blocked.cells[cid].polyline, whole.cells[cid].polyline)
+
+
+@st.composite
+def _interfaces(draw):
+    family = draw(st.sampled_from(["circle", "line", "flower", "square"]))
+    if family == "circle":
+        return Circle((draw(st.floats(0.45, 0.55)), draw(st.floats(0.45, 0.55))),
+                      draw(st.floats(0.17, 0.42)))
+    if family == "line":
+        angle = draw(st.floats(0.0, 2.0 * np.pi))
+        offset = draw(st.floats(-0.45, 0.45))
+        normal = (np.cos(angle), np.sin(angle))
+        return Line((0.5 + offset * normal[0], 0.5 + offset * normal[1]), normal)
+    if family == "flower":
+        return Flower(amplitude=draw(st.floats(0.0, 0.03)))
+    return Square(delta=0.5 * 10.0 ** -draw(st.integers(2, 9)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(levelset=_interfaces(), level=st.integers(0, 2), r=st.sampled_from([4, 8]))
+def test_batched_polylines_match_one_row_refinement(levelset, level, r):
+    m = build_mesh(level)
+    s = m.cell_size
+    try:
+        cm = build_cut_mesh(m, levelset, r=r)
+    except GeometryError as exc:
+        assert re.match(r"(cell \d+: |face \d+ \()", str(exc)), str(exc)
+        return
+    for cid in cm.cut_cells():
+        c = cm.cells[cid]
+        line = c.polyline
+        alone = build_polyline(line[:1], line[-1:], levelset, r)
+        assert alone.shape == (1, 2**r + 1, 2)
+        assert np.array_equal(alone[0], line)
+        assert np.max(levelset.distance_estimate(line)) <= 1e-12 * s
+        assert abs(c.area[1] + c.area[2] - s * s) <= 1e-12 * s * s
 
 
 # -- sub-triangulation -------------------------------------------------
@@ -217,6 +280,42 @@ def test_two_crossings_of_one_face_rejected():
     m = build_mesh(0)
     with pytest.raises(GeometryError, match="disconnected cut"):
         build_cut_mesh(m, TwoLines(), theta=0.0, r=2)
+
+
+def test_first_faulty_cell_in_cell_order_is_reported():
+    # phi = max of two lines.  The first passes 'eps' left of vertex v and
+    # cuts a corner too small to triangulate off cell 22; the second runs
+    # through vertex w, so cell 65 below-left of w has one crossing only.
+    m = build_mesh(0)
+    v = m.cell_vertices(m.cell_id(3, 2))[0]
+    w = m.cell_vertices(m.cell_id(6, 7))[0]
+
+    class Kinked(LevelSet):
+        def __init__(self, eps):
+            self.eps = eps
+
+        def _branches(self, pts):
+            pts = np.atleast_2d(pts)
+            x, y = pts[:, 0], pts[:, 1]
+            return (x - (v[0] - self.eps + 0.7 * (y - v[1])),
+                    x - (w[0] + 0.4 * (y - w[1])))
+
+        def value(self, pts):
+            return np.maximum(*self._branches(pts))
+
+        def gradient(self, pts):
+            one, two = self._branches(pts)
+            g = np.ones((len(one), 2))
+            g[:, 1] = np.where(one >= two, -0.7, -0.4)
+            return g
+
+    with pytest.raises(GeometryError, match=r"^cell 65: disconnected cut: "
+                       r"expected two boundary crossings$"):
+        build_cut_mesh(m, Kinked(1e-3), theta=0.0, r=4)
+    # cell 22 fails in triangulation, after cell 65's crossing walk has failed
+    with pytest.raises(GeometryError,
+                       match=r"^cell 22: degenerate triangle: empty sub-cell$"):
+        build_cut_mesh(m, Kinked(1e-9), theta=0.0, r=4)
 
 
 def test_classification_deterministic():
