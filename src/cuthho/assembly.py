@@ -18,13 +18,12 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import solve as dense_solve
-from scipy.linalg import solve_triangular
 from scipy.sparse.csgraph import connected_components
 
 from .basis import expand_in_basis, poly_eval, space_dimension
 from .errors import ConfigError, NumericalError
 from .geometry import CutMesh
-from .local import Key, LocalOperators, jacobi_scaled
+from .local import Key, LocalOperators, inverse_cholesky
 
 
 @dataclass
@@ -404,11 +403,10 @@ class CondensedSystem:
 def _inverse_cell_factor(system: System, a_cc: sp.csr_matrix) -> sp.csr_matrix:
     """Block-diagonal X with X^T A_cc X = I, one block per pairing group.
 
-    The blocks of all groups of one size are read from A_cc at once,
-    scaled and guarded by ``jacobi_scaled`` and factored as one stack:
-    with D the diagonal and U^T U the Cholesky factorization of the scaled
-    block, the group's block of X is D^-1/2 U^-1, upper triangular, as in
-    ``ScaledCholesky.inverse_factor``.
+    The blocks of all groups of one size are read from A_cc at once and
+    factored as one stack by ``local.inverse_cholesky``: with D the
+    diagonal and U^T U the Cholesky factorization of the Jacobi-scaled
+    block, the group's block of X is D^-1/2 U^-1, upper triangular.
     """
     groups = pairing_groups(system.cm)
     first = [system.layout.cell_offset[g, 1:] for g in groups]
@@ -421,13 +419,7 @@ def _inverse_cell_factor(system: System, a_cc: sp.csr_matrix) -> sp.csr_matrix:
         s = dofs.shape[1]
         blocks = np.asarray(a_cc[np.repeat(dofs, s, axis=1).ravel(),
                                  np.tile(dofs, s).ravel()]).reshape(-1, s, s)
-        d, ms = jacobi_scaled(blocks, lambda j: f"cell block in group {groups[sel[j]]}")
-        try:
-            u = np.linalg.cholesky(ms).swapaxes(1, 2)  # ms = u^T u
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise NumericalError(f"singular cell block of size {s}") from exc
-        eye = np.broadcast_to(np.eye(s), u.shape)
-        x = solve_triangular(u, eye, lower=False) / d[:, :, None]
+        x = inverse_cholesky(blocks, lambda j: f"cell block in group {groups[sel[j]]}")
         r, c = np.triu_indices(s)
         rows.append(dofs[:, r].ravel())
         cols.append(dofs[:, c].ravel())

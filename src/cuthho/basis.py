@@ -6,11 +6,14 @@ arc-length parameter centered at the sub-face midpoint and scaled by half
 its length.  Polynomials in global coordinates can be re-expanded exactly
 in any cell basis, which the interpolation tests rely on.
 
-The degree-k gradient reconstruction space of a cut sub-cell, or of one
-whose stencil is extended by donors, uses an OrthonormalBasis instead: the
-monomials mapped by an upper-triangular matrix so that the functions are
-orthonormal in the sub-cell's mean-value inner product.  Monomials alone
-are too badly scaled there for the reconstruction to keep its accuracy.
+The degree-k gradient reconstruction space of every sub-cell that
+reconstructs a gradient (all but the failing side of an ill-cut cell)
+uses an OrthonormalBasis instead: the monomials mapped by an
+upper-triangular matrix so that the functions are orthonormal in the
+sub-cell's mean-value inner product.  Its mass matrix is then the
+sub-cell's area times the identity, and on cut sub-cells and extended
+stencils monomials alone are too badly scaled for the reconstruction to
+keep its accuracy.
 """
 
 from __future__ import annotations

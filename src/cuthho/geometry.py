@@ -40,6 +40,7 @@ ILL_CUT = "ill"
 SNAP_REL = 1e-12  # endpoint snap, relative to the cell size
 GRID_M = 8  # per-cell sample grid for classification
 _BISECT_ITERS = 48
+_SCAN_STEPS = 16  # projection scan: 2 * _SCAN_STEPS + 1 samples per point
 _POLYLINE_BLOCK = 2**14  # finest-level midpoints per batched projection
 
 
@@ -47,13 +48,12 @@ _POLYLINE_BLOCK = 2**14  # finest-level midpoints per batched projection
 # root finding
 # ----------------------------------------------------------------------
 
-def bisect_segments(p0: np.ndarray, p1: np.ndarray, levelset: LevelSet,
-                    iters: int = _BISECT_ITERS) -> np.ndarray:
+def bisect_segments(p0: np.ndarray, p1: np.ndarray, levelset: LevelSet) -> np.ndarray:
     """Vectorized bisection roots on segments with a sign change."""
     a = np.atleast_2d(p0).astype(float).copy()
     b = np.atleast_2d(p1).astype(float).copy()
     fa = levelset.value(a)
-    for _ in range(iters):
+    for _ in range(_BISECT_ITERS):
         m = 0.5 * (a + b)
         fm = levelset.value(m)
         move_a = fa * fm > 0
@@ -77,18 +77,17 @@ def intersect_edge(p0, p1, levelset: LevelSet) -> np.ndarray:
 
 
 def project_onto_interface(points: np.ndarray, dirs: np.ndarray,
-                           levelset: LevelSet, spans: np.ndarray,
-                           nscan: int = 16) -> np.ndarray:
+                           levelset: LevelSet, spans: np.ndarray) -> np.ndarray:
     """Move each point to the zero set along its direction.
 
-    Scans 2*nscan+1 samples on [-span, span] per point for the sign-change
-    bracket nearest the origin, then bisects.  Points without a nearby
-    crossing are returned unchanged (they are already on a chord and only
-    lose geometric, not algebraic, accuracy).
+    Scans 2 * _SCAN_STEPS + 1 samples on [-span, span] per point for the
+    sign-change bracket nearest the origin, then bisects.  Points without a
+    nearby crossing are returned unchanged (they are already on a chord and
+    only lose geometric, not algebraic, accuracy).
     """
     points = np.atleast_2d(points).astype(float)
     m = len(points)
-    ts = spans[:, None] * np.linspace(-1.0, 1.0, 2 * nscan + 1)[None, :]
+    ts = spans[:, None] * np.linspace(-1.0, 1.0, 2 * _SCAN_STEPS + 1)[None, :]
     probe = points[:, None, :] + ts[:, :, None] * dirs[:, None, :]
     vals = levelset.value(probe.reshape(-1, 2)).reshape(ts.shape)
     neg = np.signbit(vals)
@@ -279,15 +278,19 @@ def classify_faces(mesh: CartesianMesh, levelset: LevelSet,
     s0 = vertex_sign[vids(p0)]
     s1 = vertex_sign[vids(p1)]
 
-    # guard against several crossings of one face
+    # guard against several crossings of one face.  A snapped endpoint
+    # (sign 0) lies on the interface: it takes its inner neighbour's sign,
+    # so it makes no flip, and any flip besides it is a second crossing.
     tpar = np.linspace(0.0, 1.0, 17)[1:-1]
     probe = p0[:, None, :] + tpar[None, :, None] * (p1 - p0)[:, None, :]
     inner = np.signbit(levelset.value(probe.reshape(-1, 2)).reshape(nf, -1))
-    full = np.concatenate([(s0 < 0)[:, None], inner, (s1 < 0)[:, None]], axis=1)
+    e0 = np.where(s0 == 0, inner[:, 0], s0 < 0)
+    e1 = np.where(s1 == 0, inner[:, -1], s1 < 0)
+    full = np.concatenate([e0[:, None], inner, e1[:, None]], axis=1)
     flips = np.count_nonzero(full[:, 1:] != full[:, :-1], axis=1)
 
     crossed = s0 * s1 < 0
-    multi = np.flatnonzero(flips > 1)
+    multi = np.flatnonzero((flips > 1) | ((flips > 0) & ((s0 == 0) | (s1 == 0))))
     if len(multi):
         raise GeometryError(
             f"{_face_label(mesh, int(multi[0]))}: disconnected cut: face crossed more than once"
@@ -300,6 +303,7 @@ def classify_faces(mesh: CartesianMesh, levelset: LevelSet,
     faces = []
     mids = 0.5 * (p0 + p1)
     vmid = levelset.value(mids)
+    on_interface = levelset.distance_estimate(mids) <= SNAP_REL * mesh.cell_size
     for f in range(nf):
         if crossed[f]:
             x = roots[f]
@@ -311,7 +315,7 @@ def classify_faces(mesh: CartesianMesh, levelset: LevelSet,
             ssum = int(s0[f]) + int(s1[f])
             if ssum != 0:
                 side = 1 if ssum < 0 else 2
-            elif abs(vmid[f]) > 0:
+            elif not on_interface[f]:  # both ends snapped, the middle is not
                 side = 1 if vmid[f] < 0 else 2
             else:
                 raise GeometryError(f"{_face_label(mesh, f)}: face lies on the interface")
@@ -471,7 +475,7 @@ def _classify_cut_cell(mesh: CartesianMesh, levelset: LevelSet, cid: int,
 
 
 def build_cut_mesh(mesh: CartesianMesh, levelset: LevelSet, theta: float = 0.3,
-                   r: int = 8, grid: int = GRID_M) -> "CutMesh":
+                   r: int = 8) -> "CutMesh":
     n = mesh.n
     s = mesh.cell_size
     snap = SNAP_REL * s
@@ -494,7 +498,7 @@ def build_cut_mesh(mesh: CartesianMesh, levelset: LevelSet, theta: float = 0.3,
                     cell_has_crossing[c] = True
 
     # interior sample grid of every cell in one sweep
-    offs = (np.arange(grid) + 0.5) / grid * s
+    offs = (np.arange(GRID_M) + 0.5) / GRID_M * s
     OX, OY = np.meshgrid(offs, offs, indexing="xy")
     cell_x0 = (np.arange(n) * s)[None, :].repeat(n, axis=0).ravel()
     cell_y0 = (np.arange(n) * s)[:, None].repeat(n, axis=1).ravel()

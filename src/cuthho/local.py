@@ -13,17 +13,19 @@ where q+ is the same polynomial evaluated on the neighbor (no
 re-expansion).  On the failing side of an ill-cut cell the reconstruction
 degenerates to the plain broken gradient of the cell polynomial.
 
-G is expanded in cell_basis_k.  On sub-cells that are cut or own donors
-that basis is orthonormal in the mean-value inner product of T^i: in
-monomials scaled to the whole cell, and evaluated on donor faces up to
-about two cell radii away, the coefficients of G grow to ~1e4 at k=3 and
-cancel when applied, losing about four digits.  The stiffness
-B^T M^-1 B and the lifting do not depend on this choice of basis.
+G is expanded in cell_basis_k, the degree-k part of the cell basis made
+orthonormal in the mean-value inner product of T^i, so its mass matrix
+is |T^i| I and G = B / |T^i| needs no solve.  In monomials scaled to the
+whole cell, and evaluated on donor faces up to about two cell radii
+away, the coefficients of G grow to ~1e4 at k=3 and cancel when applied,
+losing about four digits; the stiffness B^T M^-1 B and the lifting do
+not depend on the basis.  The failing side of an ill-cut cell
+reconstructs nothing and keeps the monomial basis.
 
 What is kept and what is rebuilt: LocalOperators holds the volume tables
 of one sub-cell, the last one asked for.  They are its quadrature, basis
-values, orthonormal reconstruction basis and mass factor; asking for
-another sub-cell rebuilds them, bit for bit the same each time.
+values and orthonormal reconstruction basis; asking for another sub-cell
+rebuilds them, bit for bit the same each time.
 ``assemble`` calls these operators only for the sub-cells that are not
 plain (see ``CutMesh.is_plain``) and once for the reference element that
 stands for all plain ones.  It does all of a sub-cell's work while its
@@ -42,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve, solve_triangular
+from scipy.linalg import solve, solve_triangular
 
 from .basis import CellBasis, FaceBasis, OrthonormalBasis, space_dimension
 from .errors import NumericalError
@@ -83,33 +85,22 @@ def jacobi_scaled(m: np.ndarray, name) -> tuple[np.ndarray, np.ndarray]:
     return d, ms
 
 
-class ScaledCholesky:
-    """Cholesky solve with Jacobi preconditioning (``jacobi_scaled``).
+def inverse_cholesky(m: np.ndarray, name) -> np.ndarray:
+    """Upper-triangular X with X^T m X = I for each of a stack of SPD
+    matrices (n, s, s).
 
-    Monomial Gram matrices on thin sliver sub-cells are ill-conditioned
-    purely through the row/column scales; factoring D^-1/2 M D^-1/2
-    instead keeps the solve accurate without changing the basis.
+    With D the diagonal of a matrix and U^T U the Cholesky factorization
+    of D^-1/2 m D^-1/2, X = D^-1/2 U^-1.  The stack is scaled and guarded
+    by ``jacobi_scaled``, which names a singular matrix j by ``name(j)``,
+    and factored in one call.
     """
-
-    def __init__(self, m: np.ndarray, what: str):
-        d, ms = jacobi_scaled(m[None], lambda _: f"mass matrix: {what}")
-        self.d, self.ms = d[0], ms[0]
-        try:
-            self.fac = cho_factor(self.ms)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise NumericalError(f"singular mass matrix: {what}") from exc
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        scale = self.d if b.ndim == 1 else self.d[:, None]
-        bs = b / scale
-        y = cho_solve(self.fac, bs)
-        y += cho_solve(self.fac, bs - self.ms @ y)  # one refinement step
-        return y / scale
-
-    def inverse_factor(self) -> np.ndarray:
-        """Upper-triangular X with X.T @ m @ X = I up to round-off."""
-        u = self.fac[0]  # cho_factor's default: upper factor, ms = u.T @ u
-        return solve_triangular(u, np.eye(len(self.d)), lower=False) / self.d[:, None]
+    d, ms = jacobi_scaled(m, name)
+    try:
+        u = np.linalg.cholesky(ms).swapaxes(1, 2)  # ms = u^T u
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise NumericalError(f"singular matrix of size {m.shape[1]}") from exc
+    eye = np.broadcast_to(np.eye(m.shape[1]), u.shape)
+    return solve_triangular(u, eye, lower=False) / d[:, :, None]
 
 
 def orthonormal_basis(mono: CellBasis, e: np.ndarray, w: np.ndarray,
@@ -117,14 +108,15 @@ def orthonormal_basis(mono: CellBasis, e: np.ndarray, w: np.ndarray,
     """Basis of span(mono) orthonormal in the mean-value inner product.
 
     ``e`` holds the monomial values at the region's quadrature points and
-    ``w`` their weights.  The inverse Cholesky factor of the
-    Jacobi-scaled mass is applied twice: the second pass removes what
-    round-off in the first left of the monomials' conditioning.
+    ``w`` their weights.  The inverse Cholesky factor of the mass is
+    applied twice: the second pass removes what round-off in the first
+    left of the monomials' conditioning.
     """
     mw = w / w.sum()
     transform = np.eye(mono.dim)
     for _ in range(2):
-        x = ScaledCholesky(e.T @ (mw[:, None] * e), what).inverse_factor()
+        x = inverse_cholesky((e.T @ (mw[:, None] * e))[None],
+                             lambda _: f"mass matrix: {what}")[0]
         transform = transform @ x
         e = e @ x
     return OrthonormalBasis(mono, transform)
@@ -141,8 +133,7 @@ class VolumeTables:
     ek: np.ndarray  # degree-k reconstruction basis values, (npts, ng)
     ek1: np.ndarray  # degree-(k+1) values, (npts, nc)
     dek1: np.ndarray  # degree-(k+1) gradients, (npts, nc, 2)
-    ortho: OrthonormalBasis | None  # reconstruction basis, if orthonormalised
-    mass: ScaledCholesky | None = None  # degree-k mass factor, on first use
+    ortho: OrthonormalBasis | None  # reconstruction basis; None on a failing side
 
 
 @dataclass
@@ -219,24 +210,15 @@ class LocalOperators:
             )
         return self._cell_bases[key]
 
-    def has_orthonormal_basis(self, cid: int, i: int) -> bool:
-        """Whether (cid, i) reconstructs in an OrthonormalBasis."""
-        cm = self.cm
-        return not cm.is_ko(cid, i) and (
-            cm.cells[cid].is_cut or bool(cm.pairing.donors(cid, i))
-        )
-
     def cell_basis_k(self, cid: int, i: int) -> CellBasis | OrthonormalBasis:
         """Degree-k basis of the gradient reconstruction space of (cid, i).
 
-        On a sub-cell that is cut or owns donors (and is not the failing
-        side of an ill-cut cell) this is the degree-k part of cell_basis
-        made orthonormal in the mean-value inner product of T^i, built
-        with the sub-cell's volume tables.  Elsewhere (uncut cells without
-        donors, failing sides) it is the monomial basis of cell_basis one
-        degree down.
+        The degree-k part of cell_basis made orthonormal in the mean-value
+        inner product of T^i, built with the sub-cell's volume tables.  On
+        the failing side of an ill-cut cell, which reconstructs nothing,
+        it is the monomial basis of cell_basis one degree down.
         """
-        if not self.has_orthonormal_basis(cid, i):
+        if self.cm.is_ko(cid, i):
             return self.cell_basis(cid, i).lower(self.k)
         return self.volume_tables(cid, i).ortho
 
@@ -247,9 +229,9 @@ class LocalOperators:
     def volume_tables(self, cid: int, i: int) -> VolumeTables:
         """Quadrature and basis tables of sub-cell (cid, i).
 
-        Only the last sub-cell's tables are kept.  An orthonormalised
-        sub-cell's reconstruction basis is built from the same quadrature
-        as part of its tables.
+        Only the last sub-cell's tables are kept.  The reconstruction
+        basis of a sub-cell that is not a failing side is built from the
+        same quadrature as part of its tables.
         """
         t = self._tables
         if t is not None and t.cid == cid and t.i == i:
@@ -259,7 +241,7 @@ class LocalOperators:
         basis = self.cell_basis(cid, i)
         ek = basis.lower(self.k).eval(pts)
         ortho = None
-        if self.has_orthonormal_basis(cid, i):
+        if not self.cm.is_ko(cid, i):
             ortho = orthonormal_basis(basis.lower(self.k), ek, w,
                                       f"sub-cell ({cid}, {i})")
             ek = ek @ ortho.transform  # as ortho.eval(pts), bit for bit
@@ -291,14 +273,6 @@ class LocalOperators:
 
     def face_quadrature(self, seg: np.ndarray):
         return segment_rule(seg[0], seg[1], self._gauss_n)
-
-    def mass_factor(self, cid: int, i: int) -> ScaledCholesky:
-        """Factorized degree-k scalar mass matrix on (cid, i)."""
-        t = self.volume_tables(cid, i)
-        if t.mass is None:
-            t.mass = ScaledCholesky(t.ek.T @ (t.w[:, None] * t.ek),
-                                    f"sub-cell ({cid}, {i})")
-        return t.mass
 
     # -- gradient reconstruction --------------------------------------
 
@@ -363,11 +337,13 @@ class LocalOperators:
         return b, st
 
     def gradient_reconstruction(self, cid: int, i: int):
-        """Reconstruction matrix Ghat (coefficients of G per stencil dof)."""
+        """Reconstruction matrix Ghat (coefficients of G per stencil dof).
+
+        The mass matrix of the orthonormal basis is |T^i| I, so Ghat is B
+        divided by |T^i|, the sum of the sub-cell's quadrature weights.
+        """
         b, st = self.gradient_rhs(cid, i)
-        fac = self.mass_factor(cid, i)
-        ghat = np.vstack([fac.solve(b[0 : self.ng]), fac.solve(b[self.ng :])])
-        return ghat, b, st
+        return b / self.volume_tables(cid, i).w.sum(), b, st
 
     def gradient_plain(self, cid: int, i: int):
         """Broken gradient on the failing side of an ill-cut cell."""
@@ -383,12 +359,11 @@ class LocalOperators:
         return 0.5 * (a + a.T), ghat, b, st
 
     def stiffness_ko(self, cid: int, i: int, kappa_i: float):
-        d, st = self.gradient_plain(cid, i)
+        """kappa_i (grad v_Ti, grad v_Ti)_Ti on the failing side of an ill-cut cell."""
         t = self.volume_tables(cid, i)
-        m = t.ek.T @ (t.w[:, None] * t.ek)
-        a = kappa_i * (d[0 : self.ng].T @ m @ d[0 : self.ng]
-                       + d[self.ng :].T @ m @ d[self.ng :])
-        return 0.5 * (a + a.T), st
+        gx, gy = t.dek1[:, :, 0], t.dek1[:, :, 1]
+        a = kappa_i * (gx.T @ (t.w[:, None] * gx) + gy.T @ (t.w[:, None] * gy))
+        return 0.5 * (a + a.T), Stencil.build([(("c", cid, i), self.nc)])
 
     # -- stabilizations ------------------------------------------------
 
@@ -453,8 +428,7 @@ class LocalOperators:
             phi = basis_k.eval(pts)
             lm[0 : self.ng] += phi.T @ (w * g * nrm[:, 0])
             lm[self.ng :] += phi.T @ (w * g * nrm[:, 1])
-        fac = self.mass_factor(cid, 1)
-        return np.concatenate([fac.solve(lm[0 : self.ng]), fac.solve(lm[self.ng :])])
+        return lm / self.volume_tables(cid, 1).w.sum()
 
     def load_volume(self, cid: int, i: int, f) -> np.ndarray:
         t = self.volume_tables(cid, i)

@@ -265,6 +265,34 @@ def test_face_geometry_errors_name_the_face():
         build_cut_mesh(build_mesh(0), Line((0.5, 0.0)), r=4)
 
 
+@pytest.mark.parametrize("tilt", [1e-13, -1e-13, 0.0])
+def test_interface_along_a_gridline_up_to_round_off_lies_on_the_interface(tilt):
+    # x = 0.5 is a gridline; tilted by 1e-13 the line stays within the snap
+    # distance of the faces near y = 0.5, and their snapped endpoints make no
+    # crossing of their own
+    with pytest.raises(GeometryError, match=r"^face \d+ \(cells \d+, \d+\): "
+                       r"face lies on the interface$"):
+        build_cut_mesh(build_mesh(2), Line((0.5, 0.5), (1.0, tilt)), r=4)
+
+
+@pytest.mark.parametrize("c", [1.0, -1.0])
+def test_second_crossing_of_a_face_through_a_snapped_vertex_rejected(c):
+    # y = 0.3 + c (x - 0.3)(x - 0.35) runs through the vertex (0.3, 0.3) and
+    # crosses the face to its right again at x = 0.35, whichever way it bends
+    class Parabola(LevelSet):
+        def value(self, pts):
+            pts = np.atleast_2d(pts)
+            return pts[:, 1] - 0.3 - c * (pts[:, 0] - 0.3) * (pts[:, 0] - 0.35)
+
+        def gradient(self, pts):
+            pts = np.atleast_2d(pts)
+            return np.column_stack([-c * (2.0 * pts[:, 0] - 0.65), np.ones(len(pts))])
+
+    with pytest.raises(GeometryError, match=r"^face 143 \(cells 23, 33\): "
+                       r"disconnected cut: face crossed more than once$"):
+        build_cut_mesh(build_mesh(0), Parabola(), r=4)
+
+
 def test_two_crossings_of_one_face_rejected():
     class TwoLines(LevelSet):
         def value(self, pts):

@@ -4,11 +4,10 @@ The exact-gradient invariant is the core: feeding the interpolate of a
 global polynomial of degree k+1 (with the ill-cut cells inheriting their
 partner's polynomial) must reproduce the exact gradient on every sub-cell
 that owns a reconstruction, including extended stencils.  Coefficients
-are compared in ``cell_basis_k``: on cut sub-cells and sub-cells with
-donors that basis is orthonormal in the mean-value inner product, so the
-comparison bounds the RMS error of the gradient over the sub-cell; on
-uncut cells without donors and on failing sides it is the scaled
-monomial basis.
+are compared in ``cell_basis_k``: on every sub-cell that reconstructs a
+gradient that basis is orthonormal in the mean-value inner product, so
+the comparison bounds the RMS error of the gradient over the sub-cell;
+on failing sides it is the scaled monomial basis.
 
 Every test that draws random data owns its generator, so a draw never
 depends on which tests ran before.
@@ -98,10 +97,11 @@ def test_uncut_constant_and_linear():
 def test_reconstruction_basis_orthonormal_on_cut_and_extended_sub_cells():
     cm = build_cut_mesh(build_mesh(0), CIRCLE, theta=0.3, r=4)
     ops = LocalOperators(cm, 3)
-    ortho = [s for s in cm.ok_sides() if ops.has_orthonormal_basis(*s)]
-    assert any(cm.cells[cid].is_cut for cid, _ in ortho)
-    assert any(not cm.cells[cid].is_cut for cid, _ in ortho)  # uncut with donors
-    for cid, i in ortho:
+    ok = cm.ok_sides()
+    assert any(cm.cells[cid].is_cut for cid, _ in ok)
+    assert any(not cm.cells[cid].is_cut and cm.pairing.donors(cid, i) for cid, i in ok)
+    assert any(cm.is_plain(cid, i) for cid, i in ok)
+    for cid, i in ok:
         t = ops.volume_tables(cid, i)
         gram = t.ek.T @ ((t.w / t.w.sum())[:, None] * t.ek)
         assert np.max(np.abs(gram - np.eye(ops.ng))) <= 1e-12, (cid, i)
@@ -117,7 +117,7 @@ def test_orthonormal_basis_guards_degenerate_region():
 def test_reconstruction_bit_identical_after_table_eviction():
     cm = build_cut_mesh(build_mesh(0), CIRCLE, theta=0.3, r=4)
     ops = LocalOperators(cm, 3)
-    (cid, i), other = [s for s in cm.ok_sides() if ops.has_orthonormal_basis(*s)][:2]
+    (cid, i), other = [s for s in cm.ok_sides() if cm.cells[s[0]].is_cut][:2]
     tables = ops.volume_tables(cid, i)
     basis = ops.cell_basis_k(cid, i)
     ghat = ops.gradient_reconstruction(cid, i)[0]
@@ -189,6 +189,26 @@ def test_plain_sub_cells_match_the_reference_element(name, level, k):
         ek1 = ops.volume_tables(cid, i).ek1
         for got, ref in ((a, a_ref), (s, s_ref), (ek1, plain.ek1)):
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_stiffness_ko_is_the_broken_gradient_energy(k):
+    # oracle: kappa sum_d D_d^T M D_d, with D_d the exact derivative maps of
+    # the cell polynomial and M the monomial mass of the failing side
+    cm = build_cut_mesh(build_mesh(0), CIRCLE, theta=0.3, r=4)
+    assert cm.ko_sides()
+    ops = LocalOperators(cm, k)
+    kappa = 3.0
+    for cid, i in cm.ko_sides():
+        d, st = ops.gradient_plain(cid, i)
+        t = ops.volume_tables(cid, i)
+        e = ops.cell_basis(cid, i).lower(k).eval(t.pts)
+        m = e.T @ (t.w[:, None] * e)
+        ng = ops.ng
+        want = kappa * (d[:ng].T @ m @ d[:ng] + d[ng:].T @ m @ d[ng:])
+        got, st_ko = ops.stiffness_ko(cid, i, kappa)
+        assert st_ko.keys == st.keys == [("c", cid, i)]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (cid, i)
 
 
 def test_plain_gradient_matrix():
@@ -482,6 +502,9 @@ def test_reconstruction_matches_fitted_hho_on_uncut_cell(k):
     ops = LocalOperators(cm, k)
     cid = mesh.cell_id(4, 6)
     ghat, _, st = ops.gradient_reconstruction(cid, 2)
+    transform = ops.cell_basis_k(cid, 2).transform  # to the oracle's monomials
+    ng = ops.ng
+    ghat = np.vstack([transform @ ghat[:ng], transform @ ghat[ng:]])
     oracle = fitted_reconstruction(mesh, cid, k)
     assert st.keys[0] == ("c", cid, 2)
     assert ghat.shape == oracle.shape
