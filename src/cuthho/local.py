@@ -33,7 +33,13 @@ tables are current, so it builds them once; ``energy_error`` needs only
 the quadrature and the gradients of the cell basis, and takes those
 without the tables.  Cell bases and the interface quadrature of each cut
 cell are kept for the lifetime of the operators: donors' receivers read
-them.
+them.  So is the volume rule of each cut sub-cell: its fan rule (a Duffy
+rule on each triangle, ~31k points at k=3, r=10) is compressed once to
+at most dim P_{2k+3} positive nodes with the same moments to degree
+2k+3, and only the compressed rule is kept, so the tables, every
+operator and ``energy_error`` read the same few nodes.  Every operator
+integrand has degree at most 2k+2, so the compression changes the
+operators by round-off only.
 
 Dof blocks are addressed by keys ('c', cid, side) and ('f', fid, side);
 all operators are returned together with their ordered key stencils.
@@ -51,6 +57,7 @@ from .errors import NumericalError
 from .geometry import UNCUT, CutMesh
 from .quadrature import (
     box_rule,
+    compress_rule,
     gauss_1d,
     map_to_triangles,
     points_for_degree,
@@ -174,6 +181,7 @@ class LocalOperators:
         self._gauss_n = points_for_degree(degree)
         self._gauss = gauss_1d(self._gauss_n)
         self._cell_bases: dict[tuple[int, int], CellBasis] = {}
+        self._cut_rules: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._tables: VolumeTables | None = None  # the current sub-cell's
         self._iface: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
@@ -250,11 +258,23 @@ class LocalOperators:
         return self._tables
 
     def volume_quadrature(self, cid: int, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Points and weights of the volume quadrature of sub-cell (cid, i)."""
+        """Points and weights of the volume quadrature of sub-cell (cid, i).
+
+        An uncut sub-cell has the tensor Gauss rule of its square.  A cut
+        sub-cell has its fan rule, the Duffy rule on each of its
+        triangles, compressed once by ``compress_rule`` to at most
+        dim P_{2k+3} positive nodes with the same moments to degree
+        2k+3; the compressed rule is kept, the fan rule is not.
+        """
         c = self.cm.cells[cid]
         if c.kind == UNCUT:
             return box_rule(*self.cm.mesh.cell_box(cid), self._gauss_n)
-        return map_to_triangles(c.tris[i], *self._tri_ref)
+        rule = self._cut_rules.get((cid, i))
+        if rule is None:
+            rule = self._cut_rules[cid, i] = compress_rule(
+                *map_to_triangles(c.tris[i], *self._tri_ref), 2 * self.k + 3,
+                f"sub-cell ({cid}, {i})")
+        return rule
 
     def interface_quadrature(self, cid: int):
         """Points, weights, and pointwise unit normals on the cell's polyline."""

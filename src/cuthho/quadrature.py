@@ -1,16 +1,32 @@
-"""Quadrature rules on segments, triangles, and boxes.
+"""Quadrature rules on segments, triangles, and boxes, and their compression.
 
 Rules are generated, not tabulated: Gauss-Legendre in 1d and a Duffy
 (collapsed tensor) rule on the reference triangle.  A rule built for
 exactness degree ``d`` integrates every bivariate monomial of total
 degree up to ``d`` exactly and has positive weights.
+
+A fine rule on a union of many triangles, such as the fan rule of a cut
+sub-cell, is compressed by ``compress_rule``: a Caratheodory-Tchakaloff
+subsample of its nodes with new positive weights that keeps its moments
+to degree ``d`` (Sommariva & Vianello 2015, "Compression of multivariate
+discrete measures and applications").  The compressed rule has at most
+dim P_d nodes, all of them nodes of the fine rule; its weights come from
+the Lawson-Hanson active-set solver ``nnls``.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import qr_delete
+from scipy.linalg.lapack import dtrtrs
+
+from .basis import monomial_exponents
+from .errors import NumericalError
+
+_COMPRESSION_TOL = 1e-13  # on moments relative to the rule's total weight
 
 
 @lru_cache(maxsize=None)
@@ -99,3 +115,129 @@ def triangle_areas(tris: np.ndarray) -> np.ndarray:
     e1 = tris[:, 1] - tris[:, 0]
     e2 = tris[:, 2] - tris[:, 0]
     return 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+
+
+def nnls(a: np.ndarray, b: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
+    """Lawson-Hanson solution of min |a x - b| over x >= 0.
+
+    Columns enter the passive set one at a time, each the column with the
+    largest positive entry of the gradient a^T (b - a x); the
+    least-squares problem on the passive columns is solved through a QR
+    factorization a_P = Q R that is updated as columns enter (one
+    Householder reflection) and leave (``qr_delete``) (Lawson & Hanson,
+    *Solving Least Squares Problems*, 1974, ch. 23).  Iteration stops at
+    the optimum, or when the passive columns span the rows.  A start
+    ``x0`` must be nonnegative and the least-squares solution on its
+    support.
+    """
+    m, n = a.shape
+    at = np.ascontiguousarray(a.T)  # row j is column j of a
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    cols = np.zeros(m, dtype=int)  # the passive columns are cols[:p]
+    p = np.count_nonzero(x)
+    cols[:p] = np.flatnonzero(x)
+    q, r_p = np.linalg.qr(a[:, cols[:p]], mode="complete")
+    qb = np.column_stack([q.T, q.T @ b])  # [Q^T | Q^T b], reflected together
+    r = np.zeros((m, m))
+    r[:, :p] = r_p
+    for _ in range(3 * n):
+        if p == m:
+            break
+        grad = at @ (qb[p:, m] @ qb[p:, :m])  # a^T (b - a x): x solves on cols
+        grad[cols[:p]] = -np.inf
+        j = int(grad.argmax())
+        if not grad[j] > 0.0:
+            break  # optimal
+        # append column j: reflect rows p.. of Q^T a_j onto row p
+        u = qb[:, :m] @ at[j]
+        v = u[p:]
+        alpha = -math.copysign(math.sqrt(v @ v), v[0])
+        v[0] -= alpha
+        v *= math.sqrt(2.0 / (v @ v))
+        qb[p:] -= v[:, None] * (v @ qb[p:])
+        r[:p, p] = u[:p]
+        r[p, p] = alpha
+        cols[p] = j
+        p += 1
+        z, info = dtrtrs(r[:p, :p], qb[:p, m])
+        if info or not z[-1] > 0.0:
+            break  # round-off: the entering column takes no positive weight
+        while z.min() <= 0.0:
+            # move towards z until the first weight reaches zero; drop the zeros
+            xp = x[cols[:p]]
+            neg = np.flatnonzero(z <= 0.0)
+            t = xp[neg] / (xp[neg] - z[neg])
+            xp += t.min() * (z - xp)
+            xp[neg[t.argmin()]] = 0.0
+            drop = np.flatnonzero(xp <= 0.0)
+            x[cols[drop]] = 0.0
+            q = qb[:, :m].T
+            for d in drop[::-1]:
+                q, r_p = qr_delete(q, r[:, :p], d, which="col", check_finite=False)
+                p -= 1
+                r[:, :p] = r_p
+                r[:, p] = 0.0
+                cols[d:p] = cols[d + 1:p + 1]
+            qb = np.column_stack([q.T, q.T @ b])
+            z = dtrtrs(r[:p, :p], qb[:p, m])[0]
+        x[cols[:p]] = z
+    return x
+
+
+def _legendre(s: np.ndarray, degree: int) -> np.ndarray:
+    """Legendre polynomials P_0..P_degree, one row per degree, at s mapped
+    affinely from its range onto [-1, 1]."""
+    lo, hi = s.min(), s.max()
+    t = (2.0 * s - (lo + hi)) / (hi - lo)
+    out = np.empty((degree + 1, len(t)))
+    out[0] = 1.0
+    if degree:
+        out[1] = t
+    for n in range(1, degree):  # (n+1) P_{n+1} = (2n+1) t P_n - n P_{n-1}, in place
+        np.multiply(t, out[n], out=out[n + 1])
+        out[n + 1] -= (n / (2 * n + 1)) * out[n - 1]
+        out[n + 1] *= (2 * n + 1) / (n + 1)
+    return out
+
+
+def compress_rule(pts: np.ndarray, w: np.ndarray, degree: int,
+                  what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Positive rule on at most dim P_degree of the nodes of (pts, w) with
+    the same moments to ``degree``.
+
+    The moments are those of the products P_a(x) P_b(y), a + b <= degree,
+    of Legendre polynomials on the nodes' bounding box, from one product
+    of two 1d tables.  The weights solve the moment equations by ``nnls``
+    on candidate nodes taken at equal quantiles of the cumulative fine
+    weights: 4 dim P_degree of them at first, twice as many on each
+    retry, which also keeps the nodes the last try kept, up to all nodes.
+    ``w`` must be positive.  Raises NumericalError naming ``what`` if even
+    all nodes miss the moments by more than _COMPRESSION_TOL times the
+    total weight.
+    """
+    n = len(w)
+    lx, ly = (_legendre(s, degree) for s in np.ascontiguousarray(pts.T))
+    ea, eb = monomial_exponents(degree).T
+    total = w.sum()
+    moments = ((lx * (w / total)) @ ly.T)[ea, eb]
+    cumulative = np.cumsum(w) / total
+    kept, x = np.zeros(0, dtype=int), np.zeros(0)
+    m = 4 * len(moments)
+    while True:
+        if m >= n:
+            picks = np.arange(n)
+        else:
+            picks = np.minimum(np.searchsorted(cumulative, (np.arange(m) + 0.5) / m), n - 1)
+        cand = np.union1d(picks, kept)
+        x0 = np.zeros(len(cand))
+        x0[np.searchsorted(cand, kept)] = x
+        v = lx[:, cand][ea] * ly[:, cand][eb]
+        x = nnls(v, moments, x0)
+        miss = float(np.max(np.abs(v @ x - moments)))
+        kept, x = cand[x > 0], x[x > 0]
+        if miss <= _COMPRESSION_TOL:
+            return pts[kept], total * x
+        if m >= n:
+            raise NumericalError(f"quadrature compression failed on {what}: "
+                                 f"moments missed by {miss:.1e} of the total weight")
+        m *= 2

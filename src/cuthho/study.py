@@ -86,13 +86,19 @@ def solve_single(case: Case, k: int, level: int, r: int | None = None,
     t0 = time.perf_counter()
     mesh = build_mesh(level)
     cm = build_cut_mesh(mesh, case.levelset, theta=theta, r=r_eff)
+    return _solve_on(cm, case, k, level, r_eff, theta, eta, want_cond, condensed, t0)
+
+
+def _solve_on(cm, case: Case, k: int, level: int, r: int, theta: float,
+              eta: float, want_cond: bool, condensed: bool, t0: float):
+    """``solve_single`` on a built cut mesh; the wall time counts from t0."""
     system = assembly.assemble(cm, k, kappa=case.kappa, eta=eta, case=case)
     x = assembly.solve(system, condensed=condensed)
     err = assembly.energy_error(system, x, case)
     cond = assembly.condition_number(system) if want_cond else None
     wall = time.perf_counter() - t0
     ndofs = int(system.free.sum())
-    rec = RunRecord(case.name, k, level, r_eff, theta, eta, case.kappa[1],
+    rec = RunRecord(case.name, k, level, r, theta, eta, case.kappa[1],
                     ndofs, err, None, cond, wall)
     return rec, system, x
 
@@ -101,29 +107,52 @@ def convergence_study(case_name: str, ks, levels, r: int | None = None,
                       theta: float = 0.3, eta: float = 20.0,
                       kappa2: float | None = None,
                       progress=None) -> list[RunRecord]:
-    """Energy errors over mesh levels with observed rates per degree."""
+    """Energy errors over mesh levels with observed rates per degree.
+
+    The cut mesh does not depend on k, so it is built once per level and
+    shared by every k still being solved there; its build time is charged
+    to the first such k's ``wall_time_s``.  A k whose solve fails at a
+    level keeps the rows solved before it and is not solved further.
+    Records come sorted by k, then level; ``progress`` sees them level by
+    level.
+    """
     case = make_case(case_name, kappa2=kappa2)
     verify_case(case)
-    records: list[RunRecord] = []
-    for k in sorted(ks):
-        prev: RunRecord | None = None
-        for level in sorted(levels):
-            try:
-                rec, _, _ = solve_single(case, k, level, r=r, theta=theta,
-                                         eta=eta, check_case=False)
-            except (GeometryError, NumericalError) as exc:
-                # partial reports: keep the rows solved so far for this k
-                print(f"warning: {case.name} k={k} level={level} failed: {exc}",
-                      file=sys.stderr)
-                break
-            if prev is not None and prev.energy_error and rec.energy_error:
-                rate = float(np.log2(prev.energy_error / rec.energy_error))
-                rec = replace(rec, rate=rate)
-            records.append(rec)
-            prev = rec
-            if progress:
-                progress(rec)
-    return records
+    ks = sorted(set(ks))
+    for k in ks:
+        assembly.check_degree(k)
+    r_eff = case.default_r if r is None else r
+    rows: dict[int, list[RunRecord]] = {k: [] for k in ks}
+    active = list(ks)
+    for level in sorted(levels):
+        t0 = time.perf_counter()
+        try:
+            cm = build_cut_mesh(build_mesh(level), case.levelset, theta=theta, r=r_eff)
+        except GeometryError as exc:
+            failed = {k: exc for k in active}
+        else:
+            failed = {}
+            for k in active:
+                try:
+                    rec, _, _ = _solve_on(cm, case, k, level, r_eff, theta, eta,
+                                          False, True, t0)
+                except (GeometryError, NumericalError) as exc:
+                    failed[k] = exc
+                    continue
+                finally:
+                    t0 = time.perf_counter()
+                if rows[k] and rows[k][-1].energy_error and rec.energy_error:
+                    rate = float(np.log2(rows[k][-1].energy_error / rec.energy_error))
+                    rec = replace(rec, rate=rate)
+                rows[k].append(rec)
+                if progress:
+                    progress(rec)
+        for k, exc in failed.items():
+            # partial reports: keep the rows solved so far for this k
+            print(f"warning: {case.name} k={k} level={level} failed: {exc}",
+                  file=sys.stderr)
+            active.remove(k)
+    return [rec for k in ks for rec in rows[k]]
 
 
 def conditioning_study(interface: str, sweep, ks, level: int = 0,

@@ -11,11 +11,15 @@ from cuthho.basis import (
     poly_diff,
     poly_eval,
     poly_laplacian,
+    space_dimension,
 )
+from cuthho.errors import NumericalError
 from cuthho.quadrature import (
     box_rule,
+    compress_rule,
     gauss_1d,
     map_to_triangles,
+    nnls,
     points_for_degree,
     segment_rule,
     triangle_rule,
@@ -75,6 +79,66 @@ def test_points_for_degree():
         n = points_for_degree(d)
         assert 2 * n - 1 >= d
         assert 2 * (n - 1) - 1 < d or n == 1
+
+
+# -- nonnegative least squares and rule compression --------------------
+
+def test_nnls_recovers_a_nonnegative_solution():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((30, 20))
+    x = np.maximum(rng.standard_normal(20), 0.0)
+    assert (x == 0.0).any() and (x > 0.0).any()
+    got = nnls(a, a @ x)
+    assert np.all(got >= 0.0)
+    assert np.max(np.abs(got - x)) <= 1e-12
+
+
+def test_nnls_matches_scipy_on_random_problems():
+    from scipy.optimize import nnls as reference
+
+    rng = np.random.default_rng(6)
+    for _ in range(100):
+        n = int(rng.integers(1, 30))
+        m = int(rng.integers(n, 40))  # full column rank: the solution is unique
+        a = rng.standard_normal((m, n))
+        b = rng.standard_normal(m)
+        want = reference(a, b)[0]
+        got = nnls(a, b)
+        assert np.all(got >= 0.0)
+        assert np.max(np.abs(got - want)) <= 1e-10 * (1.0 + np.max(np.abs(want)))
+    for _ in range(100):  # more columns than rows, as in rule compression
+        m = int(rng.integers(2, 20))
+        a = rng.standard_normal((m, int(rng.integers(m + 1, 80))))
+        b = rng.standard_normal(m)
+        got = nnls(a, b)
+        assert np.all(got >= 0.0)
+        assert np.count_nonzero(got) <= m
+        want = np.linalg.norm(a @ reference(a, b)[0] - b)
+        assert np.linalg.norm(a @ got - b) <= want + 1e-10 * np.linalg.norm(b)
+
+
+def test_compress_rule_keeps_moments_with_few_positive_nodes():
+    tris = np.array([[[0.0, 0.0], [1.0, 0.0], [0.3, 0.2]],
+                     [[0.0, 0.0], [0.3, 0.2], [0.1, 1.0]]])
+    fine_pts, fine_w = map_to_triangles(tris, *triangle_rule(9))
+    pts, w = compress_rule(fine_pts, fine_w, 5, "two triangles")
+    assert len(w) <= space_dimension(5) < len(fine_w)
+    assert np.all(w > 0.0)
+    fine = {tuple(p) for p in fine_pts}
+    assert all(tuple(p) in fine for p in pts)
+    for a, b in monomial_exponents(5):
+        want = fine_w @ (fine_pts[:, 0] ** a * fine_pts[:, 1] ** b)
+        assert w @ (pts[:, 0] ** a * pts[:, 1] ** b) == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+
+def test_compress_rule_names_the_region_it_cannot_compress():
+    # a negative weight puts the moments outside the cone of positive
+    # rules: P_2(x) has moment 59.5 times the total weight, where
+    # |P_2| <= 1 on the nodes
+    pts = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [0.0, 0.0]])
+    w = np.array([1.0, 1.0, 1.0, 1.0, -3.9])
+    with pytest.raises(NumericalError, match=r"compression failed on sub-cell \(7, 2\)"):
+        compress_rule(pts, w, 2, "sub-cell (7, 2)")
 
 
 # -- cell basis --------------------------------------------------------

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +159,47 @@ def test_conditioning_builds_one_cut_mesh_per_sweep_point(monkeypatch):
              for rec in conditioning_study("circle", [i], [k], level=0, r=4)]
     assert [dataclasses.replace(rec, wall_time_s=0.0) for rec in recs] == [
         dataclasses.replace(rec, wall_time_s=0.0) for rec in one_k]
+
+
+def test_convergence_builds_one_cut_mesh_per_level(monkeypatch):
+    built = []
+
+    def counting_build(*args, **kwargs):
+        built.append(args[0].level)
+        return build_cut_mesh(*args, **kwargs)
+
+    def quick_solve(cm, case, k, level, r, theta, eta, want_cond, condensed, t0):
+        rec = study.RunRecord(case.name, k, level, r, theta, eta, case.kappa[1],
+                              len(cm.cells), 2.0 ** -level)
+        return rec, None, None
+
+    monkeypatch.setattr(study, "build_cut_mesh", counting_build)
+    with monkeypatch.context() as m:  # the count alone: no solves
+        m.setattr(study, "_solve_on", quick_solve)
+        convergence_study("patch-0", [0, 1, 2, 3], [0, 1, 2, 3], r=2)
+    assert built == [0, 1, 2, 3]
+    built.clear()
+    recs = convergence_study("patch-0", [0, 1, 2, 3], [0, 1], r=2)
+    assert built == [0, 1]
+    monkeypatch.undo()
+    per_k = [rec for k in range(4) for rec in convergence_study("patch-0", [k], [0, 1], r=2)]
+    assert [dataclasses.replace(rec, wall_time_s=0.0) for rec in recs] == [
+        dataclasses.replace(rec, wall_time_s=0.0) for rec in per_k]
+
+
+def test_cut_cell_solve_does_not_import_scipy_optimize():
+    # scipy.optimize alone adds ~17 MiB of resident memory; the weights of
+    # the compressed cut-cell rules come from the package's own NNLS
+    code = ("import sys\n"
+            "from cuthho import cases, study\n"
+            "study.solve_single(cases.make_case('jump-mixed'), 3, 0)\n"
+            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
 
 
 def test_conditioning_square_far_away_is_uncut():

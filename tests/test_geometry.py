@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cuthho import geometry
@@ -18,9 +18,11 @@ from cuthho.geometry import (
     intersect_edge,
     project_onto_interface,
 )
+from cuthho.basis import monomial_exponents, space_dimension
 from cuthho.levelset import Circle, Flower, LevelSet, Line, Square
+from cuthho.local import LocalOperators
 from cuthho.mesh import build_mesh
-from cuthho.quadrature import triangle_areas
+from cuthho.quadrature import map_to_triangles, triangle_areas, triangle_rule
 
 CIRCLE = Circle((0.5, 0.5), 1.0 / 3.0)
 
@@ -143,6 +145,45 @@ def test_batched_polylines_match_one_row_refinement(levelset, level, r):
         assert np.array_equal(alone[0], line)
         assert np.max(levelset.distance_estimate(line)) <= 1e-12 * s
         assert abs(c.area[1] + c.area[2] - s * s) <= 1e-12 * s * s
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(levelset=_interfaces(), level=st.integers(0, 1), k=st.integers(0, 3),
+       r=st.sampled_from([4, 8, 10]))
+@example(levelset=Square(delta=0.5e-7), level=1, k=3, r=10)  # cuts of width 5e-8
+@example(levelset=Square(delta=0.5e-9), level=0, k=0, r=4)
+def test_cut_sub_cell_rules_compress_the_fan_rule(levelset, level, k, r):
+    # each cut sub-cell's volume rule is a positive subsample of its fan
+    # rule with at most dim P_{2k+3} nodes and the same moments to degree
+    # 2k+3; monomials are scaled to the sub-cell's bounding box, so each
+    # moment is at most the sub-cell's area, and summed pairwise, so the
+    # fine moments of ~31k nodes carry ~1e-16 of round-off, not ~1e-13
+    try:
+        cm = build_cut_mesh(build_mesh(level), levelset, r=r)
+    except GeometryError:
+        return
+    ops = LocalOperators(cm, k)
+    degree = 2 * k + 3
+    fan = triangle_rule(degree)
+    exps = monomial_exponents(degree)
+    for cid in cm.cut_cells():
+        for i in (1, 2):
+            fine_pts, fine_w = map_to_triangles(cm.cells[cid].tris[i], *fan)
+            pts, w = ops.volume_quadrature(cid, i)
+            as_complex = [p[:, 0] + 1j * p[:, 1] for p in (pts, fine_pts)]
+            assert np.all(np.isin(*as_complex)), (cid, i)
+            assert np.all(w > 0.0), (cid, i)
+            assert len(w) <= space_dimension(degree), (cid, i)
+            lo, hi = fine_pts.min(axis=0), fine_pts.max(axis=0)
+
+            def moments(p, wt):
+                t = ((p - 0.5 * (lo + hi)) / (0.5 * (hi - lo))).T
+                powers = np.cumprod(np.broadcast_to(t, (degree, 2, len(wt))), axis=0)
+                powers = np.concatenate([np.ones((1, 2, len(wt))), powers])
+                return (powers[exps[:, 0], 0] * powers[exps[:, 1], 1] * wt).sum(axis=1)
+
+            miss = np.max(np.abs(moments(pts, w) - moments(fine_pts, fine_w)))
+            assert miss <= 1e-13 * fine_w.sum(), (cid, i, miss)
 
 
 # -- sub-triangulation -------------------------------------------------

@@ -132,7 +132,8 @@ def test_reconstruction_bit_identical_after_table_eviction():
 def test_assemble_builds_each_sub_cell_tables_once(monkeypatch):
     case = make_case("jump-mixed")  # g_D and g_N on the interface
     assert case.g_D is not None and case.g_N is not None
-    # k=3 at r=9 gives large tables: about 15k points per cut sub-cell
+    # k=3 at r=9: each cut sub-cell's fan rule of about 15k points is
+    # compressed once, to at most 55 nodes, and the tables use those
     cm = build_cut_mesh(build_mesh(0), case.levelset, theta=0.3, r=9)
     assert len(cm.pairing) > 0
     built: dict[tuple[int, int], list] = {}
