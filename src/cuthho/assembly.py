@@ -212,6 +212,21 @@ def check_degree(k: int) -> None:
         raise ConfigError("polynomial degree k must be in 0..3")
 
 
+def check_options(r: int, eta: float) -> None:
+    """Reject r < 0 and an eta that is not positive and finite with a
+    ``ConfigError``.
+
+    ``r`` is the interface subdivision exponent (2^r chords per cut cell)
+    and ``eta`` the weight of the extension penalty; with eta <= 0 the
+    cell blocks of paired cells are singular.  Callers that build a cut
+    mesh call it first, next to ``check_degree``.
+    """
+    if not r >= 0:
+        raise ConfigError(f"interface subdivision exponent r must be >= 0, got {r}")
+    if not (np.isfinite(eta) and eta > 0.0):
+        raise ConfigError(f"extension weight eta must be positive and finite, got {eta}")
+
+
 def assemble(cm: CutMesh, k: int, kappa: tuple[float, float] = (1.0, 1.0),
              eta: float = 20.0, case=None) -> System:
     """Assemble the stiffness matrix and load vector on a cut mesh.

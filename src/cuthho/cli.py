@@ -33,12 +33,21 @@ def _int_list(text: str) -> list[int]:
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(t) for t in text.split(",") if t]
+        return _nonempty(list(range(int(lo), int(hi) + 1)), text)
+    return _nonempty([int(t) for t in text.split(",") if t], text)
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(t) for t in text.split(",") if t]
+    return _nonempty([float(t) for t in text.split(",") if t], text)
+
+
+def _nonempty(values: list, text: str) -> list:
+    """The parsed values; an empty list (say from '' or '3..1') is an
+    argparse error, so the command exits with code 2."""
+    if not values:
+        raise argparse.ArgumentTypeError(
+            f"no values in {text!r} (empty list or reversed range)")
+    return values
 
 
 def _emit(records, out: str | None) -> None:

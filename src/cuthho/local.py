@@ -25,7 +25,11 @@ reconstructs nothing and keeps the monomial basis.
 What is kept and what is rebuilt: LocalOperators holds the volume tables
 of one sub-cell, the last one asked for.  They are its quadrature, basis
 values and orthonormal reconstruction basis; asking for another sub-cell
-rebuilds them, bit for bit the same each time.
+rebuilds them, bit for bit the same each time.  The transforms of the
+orthonormal bases are not rebuilt: the first tables of a reconstructing
+sub-cell build those of all of them (every one that is not plain or a
+failing side, and the first plain one, which all plain ones share) in
+one stack, and they are kept for the lifetime of the operators.
 ``assemble`` calls these operators only for the sub-cells that are not
 plain (see ``CutMesh.is_plain``) and once for the reference element that
 stands for all plain ones.  It does all of a sub-cell's work while its
@@ -33,11 +37,12 @@ tables are current, so it builds them once; ``energy_error`` needs only
 the quadrature and the gradients of the cell basis, and takes those
 without the tables.  Cell bases and the interface quadrature of each cut
 cell are kept for the lifetime of the operators: donors' receivers read
-them.  So is the volume rule of each cut sub-cell: its fan rule (a Duffy
-rule on each triangle, ~31k points at k=3, r=10) is compressed once to
-at most dim P_{2k+3} positive nodes with the same moments to degree
-2k+3, and only the compressed rule is kept, so the tables, every
-operator and ``energy_error`` read the same few nodes.  Every operator
+them.  So is the volume rule of each cut sub-cell: its fan rule (a
+collapsed product rule on each triangle, 25 nodes each at k=3, so ~26k
+points at r=10) is compressed once to at most dim P_{2k+3} positive
+nodes with the same moments to degree 2k+3, and only the compressed
+rule is kept, so the tables, every operator and ``energy_error`` read
+the same few nodes.  Every operator
 integrand has degree at most 2k+2, so the compression changes the
 operators by round-off only.
 
@@ -110,23 +115,25 @@ def inverse_cholesky(m: np.ndarray, name) -> np.ndarray:
     return solve_triangular(u, eye, lower=False) / d[:, :, None]
 
 
-def orthonormal_basis(mono: CellBasis, e: np.ndarray, w: np.ndarray,
-                      what: str) -> OrthonormalBasis:
-    """Basis of span(mono) orthonormal in the mean-value inner product.
+def orthonormal_basis(e: np.ndarray, w: np.ndarray, names) -> np.ndarray:
+    """Upper-triangular transforms T_j making each basis of a stack
+    orthonormal in the mean-value inner product of its region.
 
-    ``e`` holds the monomial values at the region's quadrature points and
-    ``w`` their weights.  The inverse Cholesky factor of the mass is
-    applied twice: the second pass removes what round-off in the first
-    left of the monomials' conditioning.
+    ``e`` (n, p, s) holds the values of each region's basis at its
+    quadrature points and ``w`` (n, p) their weights; a region with fewer
+    points is padded with zero weights.  The inverse Cholesky factors of
+    the stacked masses are applied twice: the second pass removes what
+    round-off in the first left of the bases' conditioning.  A singular
+    mass raises NumericalError naming "mass matrix: " + names[j].
     """
-    mw = w / w.sum()
-    transform = np.eye(mono.dim)
+    mw = w / w.sum(axis=1, keepdims=True)
+    transform = np.eye(e.shape[2])
     for _ in range(2):
-        x = inverse_cholesky((e.T @ (mw[:, None] * e))[None],
-                             lambda _: f"mass matrix: {what}")[0]
+        mass = e.swapaxes(1, 2) @ (mw[:, :, None] * e)
+        x = inverse_cholesky(mass, lambda j: f"mass matrix: {names[j]}")
         transform = transform @ x
         e = e @ x
-    return OrthonormalBasis(mono, transform)
+    return transform
 
 
 @dataclass
@@ -182,6 +189,8 @@ class LocalOperators:
         self._gauss = gauss_1d(self._gauss_n)
         self._cell_bases: dict[tuple[int, int], CellBasis] = {}
         self._cut_rules: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._transforms: dict[tuple[int, int], np.ndarray] | None = None
+        self._plain_key: tuple[int, int] | None = None  # the plain sub-cells' reference
         self._tables: VolumeTables | None = None  # the current sub-cell's
         self._iface: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
@@ -222,7 +231,7 @@ class LocalOperators:
         """Degree-k basis of the gradient reconstruction space of (cid, i).
 
         The degree-k part of cell_basis made orthonormal in the mean-value
-        inner product of T^i, built with the sub-cell's volume tables.  On
+        inner product of T^i, as held in the sub-cell's volume tables.  On
         the failing side of an ill-cut cell, which reconstructs nothing,
         it is the monomial basis of cell_basis one degree down.
         """
@@ -237,9 +246,9 @@ class LocalOperators:
     def volume_tables(self, cid: int, i: int) -> VolumeTables:
         """Quadrature and basis tables of sub-cell (cid, i).
 
-        Only the last sub-cell's tables are kept.  The reconstruction
-        basis of a sub-cell that is not a failing side is built from the
-        same quadrature as part of its tables.
+        Only the last sub-cell's tables are kept.  On a sub-cell that is
+        not a failing side they hold its orthonormal reconstruction basis,
+        whose transform comes from ``_reconstruction_transform``.
         """
         t = self._tables
         if t is not None and t.cid == cid and t.i == i:
@@ -250,19 +259,44 @@ class LocalOperators:
         ek = basis.lower(self.k).eval(pts)
         ortho = None
         if not self.cm.is_ko(cid, i):
-            ortho = orthonormal_basis(basis.lower(self.k), ek, w,
-                                      f"sub-cell ({cid}, {i})")
+            ortho = OrthonormalBasis(basis.lower(self.k),
+                                     self._reconstruction_transform(cid, i))
             ek = ek @ ortho.transform  # as ortho.eval(pts), bit for bit
         self._tables = VolumeTables(cid, i, pts, w, ek, basis.eval(pts),
                                     basis.grad(pts), ortho)
         return self._tables
 
+    def _reconstruction_transform(self, cid: int, i: int) -> np.ndarray:
+        """Transform of the orthonormal reconstruction basis of (cid, i).
+
+        On first use, the transforms of every sub-cell that reconstructs a
+        gradient and is not plain, and of the first plain sub-cell, are
+        built as one stack by ``orthonormal_basis``.  Plain sub-cells are
+        translates of one another, so they all share the first one's.
+        """
+        cm = self.cm
+        if self._transforms is None:
+            ok = cm.ok_sides()
+            plain = [cm.is_plain(*key) for key in ok]
+            keys = [key for key, p in zip(ok, plain) if not p]
+            self._plain_key = next((key for key, p in zip(ok, plain) if p), None)
+            keys += [self._plain_key] if self._plain_key else []
+            rules = [self.volume_quadrature(*key) for key in keys]
+            e = np.zeros((len(keys), max(len(w) for _, w in rules), self.ng))
+            w = np.zeros(e.shape[:2])
+            for j, (key, (pts, wj)) in enumerate(zip(keys, rules)):
+                e[j, :len(wj)] = self.cell_basis(*key).lower(self.k).eval(pts)
+                w[j, :len(wj)] = wj
+            transforms = orthonormal_basis(e, w, [f"sub-cell ({c}, {j})" for c, j in keys])
+            self._transforms = dict(zip(keys, transforms))
+        return self._transforms[self._plain_key if cm.is_plain(cid, i) else (cid, i)]
+
     def volume_quadrature(self, cid: int, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Points and weights of the volume quadrature of sub-cell (cid, i).
 
         An uncut sub-cell has the tensor Gauss rule of its square.  A cut
-        sub-cell has its fan rule, the Duffy rule on each of its
-        triangles, compressed once by ``compress_rule`` to at most
+        sub-cell has its fan rule, the collapsed product rule on each of
+        its triangles, compressed once by ``compress_rule`` to at most
         dim P_{2k+3} positive nodes with the same moments to degree
         2k+3; the compressed rule is kept, the fan rule is not.
         """

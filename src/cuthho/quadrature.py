@@ -1,9 +1,13 @@
 """Quadrature rules on segments, triangles, and boxes, and their compression.
 
-Rules are generated, not tabulated: Gauss-Legendre in 1d and a Duffy
-(collapsed tensor) rule on the reference triangle.  A rule built for
-exactness degree ``d`` integrates every bivariate monomial of total
-degree up to ``d`` exactly and has positive weights.
+Rules are generated, not tabulated: Gauss-Legendre in 1d, and on the
+reference triangle the collapsed (Stroud) product of a Gauss-Jacobi rule
+for the weight 1 - u, which absorbs the Jacobian of the collapse, with
+a Gauss-Legendre rule; the Gauss-Jacobi rule comes from the eigenvalues
+of its Jacobi matrix (Golub-Welsch).  A rule built for exactness degree
+``d`` integrates every bivariate monomial of total degree up to ``d``
+exactly and has positive weights; the triangle rule has
+points_for_degree(d)**2 nodes, 25 at d = 9.
 
 A fine rule on a union of many triangles, such as the fan rule of a cut
 sub-cell, is compressed by ``compress_rule``: a Caratheodory-Tchakaloff
@@ -11,7 +15,9 @@ subsample of its nodes with new positive weights that keeps its moments
 to degree ``d`` (Sommariva & Vianello 2015, "Compression of multivariate
 discrete measures and applications").  The compressed rule has at most
 dim P_d nodes, all of them nodes of the fine rule; its weights come from
-the Lawson-Hanson active-set solver ``nnls``.
+the Lawson-Hanson active-set solver ``nnls``, run on moment rows made
+orthonormal over the candidate nodes (Piazzon, Sommariva & Vianello
+2017, "Caratheodory-Tchakaloff subsampling").
 """
 
 from __future__ import annotations
@@ -52,26 +58,38 @@ def segment_rule(p0, p1, npts: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, 0.5 * length * w
 
 
-def triangle_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Duffy rule on the reference triangle (0,0)-(1,0)-(0,1).
+def gauss_jacobi_1d(npts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Points and weights on [0, 1] for the weight 1 - u: the rule integrates
+    p(u) (1 - u) exactly for p of degree up to 2*npts - 1.
 
-    The collapse x = u, y = v*(1-u) raises the u-degree by one, hence the
-    extra point in that direction.  Weights are positive and sum to 1/2.
+    Golub-Welsch: the points are the eigenvalues of the Jacobi matrix of
+    the Jacobi polynomials P_n^(1,0) on [-1, 1] (recurrence a_n =
+    -1/((2n+1)(2n+3)), b_n = sqrt(n(n+1))/(2n+1)), mapped onto [0, 1];
+    the weights are 1/2 times the squared first components of the
+    normalized eigenvectors.
     """
-    mu = points_for_degree(degree + 1)
-    mv = points_for_degree(degree)
-    xu, wu = gauss_1d(mu)
-    xv, wv = gauss_1d(mv)
-    u = 0.5 * (xu + 1.0)
-    v = 0.5 * (xv + 1.0)
-    wu = 0.5 * wu
-    wv = 0.5 * wv
-    U, V = np.meshgrid(u, v, indexing="ij")
-    WU, WV = np.meshgrid(wu, wv, indexing="ij")
-    x = U.ravel()
-    y = (V * (1.0 - U)).ravel()
-    w = (WU * WV * (1.0 - U)).ravel()
-    return np.column_stack([x, y]), w
+    n = np.arange(npts)
+    j = n[1:]
+    off = np.sqrt(j * (j + 1.0)) / (2 * j + 1)
+    jacobi = np.diag(-1.0 / ((2 * n + 1) * (2 * n + 3))) + np.diag(off, 1) + np.diag(off, -1)
+    t, vec = np.linalg.eigh(jacobi)
+    return 0.5 * (t + 1.0), 0.5 * vec[0] ** 2
+
+
+def triangle_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Collapsed (Stroud) product rule on the reference triangle (0,0)-(1,0)-(0,1).
+
+    The collapse x = u, y = v*(1-u) has Jacobian 1 - u, which is taken
+    into the Gauss-Jacobi weight in u, so both directions need only the
+    points_for_degree(degree) points of degree ``degree``: the rule has
+    points_for_degree(degree)**2 nodes, positive weights summing to 1/2.
+    """
+    npts = points_for_degree(degree)
+    u, wu = gauss_jacobi_1d(npts)
+    xv, wv = gauss_1d(npts)
+    U, V = np.meshgrid(u, 0.5 * (xv + 1.0), indexing="ij")
+    pts = np.column_stack([U.ravel(), (V * (1.0 - U)).ravel()])
+    return pts, np.outer(wu, 0.5 * wv).ravel()
 
 
 def map_to_triangles(tris: np.ndarray, ref_pts: np.ndarray, ref_w: np.ndarray):
@@ -84,14 +102,9 @@ def map_to_triangles(tris: np.ndarray, ref_pts: np.ndarray, ref_w: np.ndarray):
     if tris.size == 0:
         return np.zeros((0, 2)), np.zeros(0)
     v0 = tris[:, 0]
-    e1 = tris[:, 1] - tris[:, 0]
-    e2 = tris[:, 2] - tris[:, 0]
-    jac = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    pts = (
-        v0[:, None, :]
-        + ref_pts[None, :, 0:1] * e1[:, None, :]
-        + ref_pts[None, :, 1:2] * e2[:, None, :]
-    )
+    e = tris[:, 1:] - v0[:, None, :]  # rows: the edges from v0, (m, 2, 2)
+    jac = e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0]
+    pts = v0[:, None, :] + ref_pts @ e
     w = np.abs(jac)[:, None] * ref_w[None, :]
     return pts.reshape(-1, 2), w.ravel()
 
@@ -127,8 +140,10 @@ def nnls(a: np.ndarray, b: np.ndarray, x0: np.ndarray | None = None) -> np.ndarr
     Householder reflection) and leave (``qr_delete``) (Lawson & Hanson,
     *Solving Least Squares Problems*, 1974, ch. 23).  Iteration stops at
     the optimum, or when the passive columns span the rows.  A start
-    ``x0`` must be nonnegative and the least-squares solution on its
-    support.
+    ``x0`` must be nonnegative.  The iteration takes it for the
+    least-squares solution on its support; a start that only comes close,
+    such as the solution of a nearby problem, still gives a nonnegative
+    x, but not always the optimal one.
     """
     m, n = a.shape
     at = np.ascontiguousarray(a.T)  # row j is column j of a
@@ -205,38 +220,53 @@ def compress_rule(pts: np.ndarray, w: np.ndarray, degree: int,
     """Positive rule on at most dim P_degree of the nodes of (pts, w) with
     the same moments to ``degree``.
 
-    The moments are those of the products P_a(x) P_b(y), a + b <= degree,
-    of Legendre polynomials on the nodes' bounding box, from one product
-    of two 1d tables.  The weights solve the moment equations by ``nnls``
-    on candidate nodes taken at equal quantiles of the cumulative fine
-    weights: 4 dim P_degree of them at first, twice as many on each
-    retry, which also keeps the nodes the last try kept, up to all nodes.
-    ``w`` must be positive.  Raises NumericalError naming ``what`` if even
-    all nodes miss the moments by more than _COMPRESSION_TOL times the
-    total weight.
+    A positive rule with at most dim P_degree nodes is returned as it
+    is.  Otherwise the moments are those of the products P_a(x) P_b(y),
+    a + b <= degree, of Legendre polynomials on the nodes' bounding box,
+    from one product of two 1d tables.  The weights solve the moment
+    equations by ``nnls`` on candidate nodes taken at equal quantiles of
+    the cumulative fine weights: 4 dim P_degree of them at first, twice
+    as many on each retry, which also keeps the nodes the last try kept,
+    up to all nodes.  A try needs at least dim P_degree distinct
+    candidates.  On each try the moment rows V are made orthonormal over
+    the candidates by one QR, V^T = Q R, and ``nnls`` solves
+    Q^T x = R^-T moments, which for V of full row rank has the same
+    solutions but far better conditioned columns; the miss is checked on
+    V.  ``w`` must be
+    positive.  Raises NumericalError naming ``what`` if a rule of at most
+    dim P_degree nodes is not positive, or if even all nodes miss the
+    moments by more than _COMPRESSION_TOL times the total weight.
     """
     n = len(w)
-    lx, ly = (_legendre(s, degree) for s in np.ascontiguousarray(pts.T))
     ea, eb = monomial_exponents(degree).T
+    dim = len(ea)
+    if n <= dim:
+        if not w.min() > 0.0:
+            raise NumericalError(f"quadrature compression failed on {what}: "
+                                 f"a rule of {n} nodes has a weight <= 0")
+        return pts, w
+    lx, ly = (_legendre(s, degree) for s in np.ascontiguousarray(pts.T))
     total = w.sum()
     moments = ((lx * (w / total)) @ ly.T)[ea, eb]
     cumulative = np.cumsum(w) / total
     kept, x = np.zeros(0, dtype=int), np.zeros(0)
-    m = 4 * len(moments)
+    m = 4 * dim
     while True:
         if m >= n:
             picks = np.arange(n)
         else:
             picks = np.minimum(np.searchsorted(cumulative, (np.arange(m) + 0.5) / m), n - 1)
         cand = np.union1d(picks, kept)
-        x0 = np.zeros(len(cand))
-        x0[np.searchsorted(cand, kept)] = x
-        v = lx[:, cand][ea] * ly[:, cand][eb]
-        x = nnls(v, moments, x0)
-        miss = float(np.max(np.abs(v @ x - moments)))
-        kept, x = cand[x > 0], x[x > 0]
-        if miss <= _COMPRESSION_TOL:
-            return pts[kept], total * x
+        if len(cand) >= dim:
+            x0 = np.zeros(len(cand))
+            x0[np.searchsorted(cand, kept)] = x
+            v = lx[:, cand][ea] * ly[:, cand][eb]
+            q, r = np.linalg.qr(v.T)
+            x = nnls(q.T, dtrtrs(r, moments, trans=1)[0], x0)
+            miss = float(np.max(np.abs(v @ x - moments)))
+            kept, x = cand[x > 0], x[x > 0]
+            if miss <= _COMPRESSION_TOL:
+                return pts[kept], total * x
         if m >= n:
             raise NumericalError(f"quadrature compression failed on {what}: "
                                  f"moments missed by {miss:.1e} of the total weight")

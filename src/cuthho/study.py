@@ -80,9 +80,10 @@ def solve_single(case: Case, k: int, level: int, r: int | None = None,
                  check_case: bool = True):
     """Run one solve; returns (record, system, solution)."""
     assembly.check_degree(k)
+    r_eff = case.default_r if r is None else r
+    assembly.check_options(r_eff, eta)
     if check_case:
         verify_case(case)
-    r_eff = case.default_r if r is None else r
     t0 = time.perf_counter()
     mesh = build_mesh(level)
     cm = build_cut_mesh(mesh, case.levelset, theta=theta, r=r_eff)
@@ -122,6 +123,7 @@ def convergence_study(case_name: str, ks, levels, r: int | None = None,
     for k in ks:
         assembly.check_degree(k)
     r_eff = case.default_r if r is None else r
+    assembly.check_options(r_eff, eta)
     rows: dict[int, list[RunRecord]] = {k: [] for k in ks}
     active = list(ks)
     for level in sorted(levels):
@@ -169,6 +171,7 @@ def conditioning_study(interface: str, sweep, ks, level: int = 0,
     """
     for k in ks:
         assembly.check_degree(k)
+    assembly.check_options(r, eta)
     records = []
     mesh = build_mesh(level)
     for val in sweep:

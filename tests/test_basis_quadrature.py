@@ -18,6 +18,7 @@ from cuthho.quadrature import (
     box_rule,
     compress_rule,
     gauss_1d,
+    gauss_jacobi_1d,
     map_to_triangles,
     nnls,
     points_for_degree,
@@ -57,6 +58,22 @@ def test_triangle_rule_exactness(degree):
             exact = factorial(a) * factorial(b) / factorial(a + b + 2)
             got = np.dot(w, pts[:, 0] ** a * pts[:, 1] ** b)
             assert got == pytest.approx(exact, rel=1e-13), (a, b)
+
+
+@pytest.mark.parametrize("npts", range(1, 7))
+def test_gauss_jacobi_rule_integrates_against_one_minus_u(npts):
+    u, w = gauss_jacobi_1d(npts)
+    assert np.all(w > 0) and np.all((u > 0) & (u < 1))
+    for j in range(2 * npts):
+        exact = 1.0 / ((j + 1) * (j + 2))  # int_0^1 u^j (1 - u) du
+        assert abs(w @ u**j - exact) <= 1e-14, j
+
+
+@pytest.mark.parametrize("degree", range(10))
+def test_triangle_rule_is_a_square_product(degree):
+    # the Jacobian 1 - u of the collapse is in the Gauss-Jacobi weight, so
+    # both directions take the same point count: 25 nodes at degree 9, not 30
+    assert len(triangle_rule(degree)[1]) == points_for_degree(degree) ** 2
 
 
 def test_mapped_triangle_rule_covers_union():
@@ -129,6 +146,28 @@ def test_compress_rule_keeps_moments_with_few_positive_nodes():
     for a, b in monomial_exponents(5):
         want = fine_w @ (fine_pts[:, 0] ** a * fine_pts[:, 1] ** b)
         assert w @ (pts[:, 0] ** a * pts[:, 1] ** b) == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+
+def test_compress_rule_returns_a_rule_of_at_most_dim_nodes_unchanged():
+    # two triangles of the degree-9 fan rule: 50 nodes <= dim P_9 = 55
+    tris = np.array([[[0.0, 0.0], [1.0, 0.0], [0.3, 0.2]],
+                     [[0.0, 0.0], [0.3, 0.2], [0.1, 1.0]]])
+    fine_pts, fine_w = map_to_triangles(tris, *triangle_rule(9))
+    assert len(fine_w) <= space_dimension(9)
+    pts, w = compress_rule(fine_pts, fine_w, 9, "two triangles")
+    assert pts is fine_pts and w is fine_w
+
+
+def test_compress_rule_names_the_region_whose_moments_no_nodes_match():
+    # seven nodes, more than dim P_2 = 6, so the moments go to nnls: the
+    # negative weight gives P_2(x) the moment 59.5 times the total weight,
+    # where |P_2| <= 1 on the nodes, so no positive rule on them matches
+    pts = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0],
+                    [0.0, -1.0], [0.0, 1.0], [0.0, 0.0]])
+    w = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -5.9])
+    with pytest.raises(NumericalError, match=r"compression failed on sub-cell \(7, 2\): "
+                                             r"moments missed by"):
+        compress_rule(pts, w, 2, "sub-cell (7, 2)")
 
 
 def test_compress_rule_names_the_region_it_cannot_compress():

@@ -312,6 +312,43 @@ def test_cli_study_exit_code_bad_config(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["study", "convergence", "--case", "sinsin", "--levels", "3..1"],
+    ["study", "conditioning", "--interface", "square", "--sweep", "9..2"],
+    ["study", "theta", "--case", "sinsin", "--theta", ""],
+    ["study", "convergence", "--case", "sinsin", "--k", ","],
+])
+def test_cli_rejects_empty_or_reversed_lists(argv, tmp_path, capsys):
+    # argparse rejects the list, so no study runs and no header-only CSV is written
+    out = tmp_path / "study.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "(empty list or reversed range)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["solve", "--case", "sinsin", "--k", "1", "--level", "0", "--r", "-1"],
+     "interface subdivision exponent r must be >= 0"),
+    (["solve", "--case", "sinsin", "--k", "1", "--level", "0", "--eta", "-1"],
+     "extension weight eta must be positive and finite"),
+    (["solve", "--case", "sinsin", "--k", "1", "--level", "0", "--eta", "nan"],
+     "extension weight eta must be positive and finite"),
+    (["study", "convergence", "--case", "sinsin", "--levels", "0", "--eta", "0"],
+     "extension weight eta must be positive and finite"),
+    (["study", "conditioning", "--interface", "circle", "--sweep", "0", "--r", "-2"],
+     "interface subdivision exponent r must be >= 0"),
+])
+def test_cli_bad_r_or_eta_rejected_before_geometry(argv, message, monkeypatch, capsys):
+    def no_geometry(*args, **kwargs):
+        raise AssertionError("cut mesh built before r and eta were checked")
+
+    monkeypatch.setattr(study, "build_cut_mesh", no_geometry)
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
     ["solve", "--case", "sinsin", "--k", "5", "--level", "3"],
     ["study", "conditioning", "--interface", "square", "--sweep", "2", "--k", "4"],
 ])

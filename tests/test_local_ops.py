@@ -108,10 +108,16 @@ def test_reconstruction_basis_orthonormal_on_cut_and_extended_sub_cells():
 
 
 def test_orthonormal_basis_guards_degenerate_region():
+    # the degenerate region is the second of a stack, after a sound one
     mono = CellBasis(1, (0.0, 0.0), 1.0)
-    pts = np.column_stack([np.linspace(0.0, 1.0, 7), np.zeros(7)])
+    line = np.column_stack([np.linspace(0.0, 1.0, 7), np.zeros(7)])
+    square = np.column_stack([np.tile([0.0, 1.0], 4)[:7], np.repeat([0.0, 1.0], 4)[:7]])
+    e = np.stack([mono.eval(square), mono.eval(line)])
     with pytest.raises(NumericalError, match=r"singular mass matrix: sub-cell \(4, 1\)"):
-        orthonormal_basis(mono, mono.eval(pts), np.ones(7), "sub-cell (4, 1)")
+        orthonormal_basis(e, np.ones((2, 7)), ["sub-cell (3, 2)", "sub-cell (4, 1)"])
+    transforms = orthonormal_basis(e[:1], np.ones((1, 7)), ["sub-cell (3, 2)"])
+    orthonormal = e[0] @ transforms[0]
+    assert np.max(np.abs(orthonormal.T @ orthonormal / 7 - np.eye(3))) <= 1e-14
 
 
 def test_reconstruction_bit_identical_after_table_eviction():
