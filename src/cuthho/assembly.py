@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import solve as dense_solve
 from scipy.sparse.csgraph import connected_components
 
 from .basis import expand_in_basis, poly_eval, space_dimension
@@ -327,11 +326,11 @@ def assemble(cm: CutMesh, k: int, kappa: tuple[float, float] = (1.0, 1.0),
 
 
 def _project_on_face(ops: LocalOperators, fc, i: int, fn) -> np.ndarray:
-    """L2-projection of ``fn(pts)`` onto the polynomials of face side (fc, i)."""
+    """L2-projection of ``fn(pts)`` onto the polynomials of face side (fc, i):
+    the face basis has Gram matrix h I, so its moments over h."""
     pts, w = ops.face_quadrature(fc.segments[i])
     chi = ops.face_basis(fc.fid, i).eval(pts)
-    gram = chi.T @ (w[:, None] * chi)
-    return dense_solve(gram, chi.T @ (w * fn(pts)), assume_a="pos")
+    return chi.T @ (w * fn(pts)) / ops.cm.mesh.h
 
 
 # ----------------------------------------------------------------------
@@ -346,21 +345,16 @@ def _lu_factor(a: sp.csr_matrix) -> spla.SuperLU:
         raise NumericalError(f"singular matrix (n={a.shape[0]}): {exc}") from exc
 
 
-def _refined_solve(a: sp.csr_matrix, lu: spla.SuperLU, b: np.ndarray) -> np.ndarray:
-    """Solve with the factorization ``lu`` of ``a`` and two steps of
-    iterative refinement, which keep residuals near roundoff."""
-    x = lu.solve(b)
-    for _ in range(2):
-        x += lu.solve(b - a @ x)
-    return x
-
-
 def _lu_solve(a: sp.csr_matrix, b: np.ndarray, what: str) -> np.ndarray:
-    """Sparse LU solve with two steps of iterative refinement.
+    """Sparse LU solve with two steps of iterative refinement, which keep
+    residuals near roundoff.
 
     Raises NumericalError when the relative residual exceeds 1e-10.
     """
-    x = _refined_solve(a, _lu_factor(a), b)
+    lu = _lu_factor(a)
+    x = lu.solve(b)
+    for _ in range(2):
+        x += lu.solve(b - a @ x)
     nb = np.linalg.norm(b)
     res = 0.0 if nb == 0.0 else float(np.linalg.norm(a @ x - b) / nb)
     if not np.isfinite(res) or res > 1e-10:
@@ -481,8 +475,7 @@ def condition_number(system: System) -> float:
     sparse Lanczos runs (ARPACK ``eigsh``).  lambda_max comes from A.
     lambda_min is 1 / mu, mu the eigenvalue of A^-1 of largest magnitude:
     shift-invert at 0, with A^-1 applied through one sparse LU
-    factorization and the same two refinement steps as the solves (plain
-    LU is ~1e-6 off at cond ~ 1e12).  Both runs start from the all-ones
+    factorization.  Both runs start from the all-ones
     vector, so equal inputs give bit-identical results.  A singular
     matrix, a non-positive mu (A is not positive definite) or a Lanczos
     run that does not converge raises NumericalError.
@@ -490,8 +483,7 @@ def condition_number(system: System) -> float:
     a, _ = system.reduced()
     n = a.shape[0]
     lu = _lu_factor(a)
-    inverse = spla.LinearOperator(a.shape, matvec=lambda b: _refined_solve(a, lu, b),
-                                  dtype=float)
+    inverse = spla.LinearOperator(a.shape, matvec=lu.solve, dtype=float)
     v0 = np.ones(n)
     try:
         mu = spla.eigsh(inverse, k=1, which="LM", v0=v0, tol=0,

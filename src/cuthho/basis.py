@@ -1,19 +1,17 @@
-"""Scaled and centered monomial bases for cells and faces.
+"""Cell and face bases.
 
-Cell bases are bivariate monomials ((x-cx)/s)^a ((y-cy)/s)^b in graded
-lexicographic order (constant first), face bases are 1d monomials in the
-arc-length parameter centered at the sub-face midpoint and scaled by half
-its length.  Polynomials in global coordinates can be re-expanded exactly
-in any cell basis, which the interpolation tests rely on.
+CellBasis holds monomials ((x-cx)/s)^a ((y-cy)/s)^b in graded
+lexicographic order (constant first); global polynomials re-expand
+exactly in it.  It is the substrate of the cell bases, not a basis of
+unknowns.
 
-The degree-k gradient reconstruction space of every sub-cell that
-reconstructs a gradient (all but the failing side of an ill-cut cell)
-uses an OrthonormalBasis instead: the monomials mapped by an
-upper-triangular matrix so that the functions are orthonormal in the
-sub-cell's mean-value inner product.  Its mass matrix is then the
-sub-cell's area times the identity, and on cut sub-cells and extended
-stencils monomials alone are too badly scaled for the reconstruction to
-keep its accuracy.
+The cell unknowns of each sub-cell use an OrthonormalBasis of degree
+k+1: the monomials times an upper-triangular transform that makes them
+orthonormal in the mean-value inner product of the sub-cell.  Its first
+dim P_k functions (``OrthonormalBasis.lower``) are orthonormal too, and
+are the gradient reconstruction basis.  Face unknowns use Legendre
+polynomials of the sub-face's arc length, scaled so that their Gram
+matrix is h I whatever the sub-face's length.
 """
 
 from __future__ import annotations
@@ -23,6 +21,7 @@ from functools import lru_cache, cached_property
 from math import comb
 
 import numpy as np
+from numpy.polynomial.legendre import leg2poly
 from scipy.linalg import solve_triangular
 
 
@@ -102,7 +101,7 @@ class OrthonormalBasis:
     """Monomials times an upper-triangular transform: phi = mono @ transform.
 
     The transform makes the functions orthonormal in the mean-value inner
-    product (1/|T^i|) int_{T^i} p q of the sub-cell it was built on; being
+    product (1/|R|) int_R p q of the region R it was built on; being
     triangular, phi_j still spans the first j+1 monomials.
     """
 
@@ -113,12 +112,26 @@ class OrthonormalBasis:
     def eval(self, pts: np.ndarray) -> np.ndarray:
         return self.mono.eval(pts) @ self.transform
 
+    def grad(self, pts: np.ndarray) -> np.ndarray:
+        """Gradients, shape (npts, dim, 2)."""
+        return np.tensordot(self.mono.grad(pts), self.transform, axes=(1, 0)).swapaxes(1, 2)
+
+    def lower(self, degree: int) -> "OrthonormalBasis":
+        """The first dim P_degree functions: the transform's leading block."""
+        n = space_dimension(degree)
+        return OrthonormalBasis(self.mono.lower(degree), self.transform[:n, :n])
+
 
 @dataclass(frozen=True)
 class FaceBasis:
+    """Legendre polynomials P_j(t) of the arc-length parameter t in [-1, 1]
+    of the segment p0-p1, times sqrt((2j+1) h / |F|): their Gram matrix
+    on the segment is h I."""
+
     degree: int
     p0: tuple[float, float]
     p1: tuple[float, float]
+    h: float
 
     @cached_property
     def _frame(self) -> tuple[np.ndarray, np.ndarray, float]:
@@ -137,7 +150,17 @@ class FaceBasis:
         mid, tang, half = self._frame
         pts = np.atleast_2d(pts)
         t = ((pts - mid) @ tang) / half
-        return t[:, None] ** np.arange(self.degree + 1)[None, :]
+        powers = t[:, None] ** np.arange(self.degree + 1)[None, :]
+        return powers @ _legendre_coefficients(self.degree) * np.sqrt(self.h / (2 * half))
+
+
+@lru_cache(maxsize=None)
+def _legendre_coefficients(degree: int) -> np.ndarray:
+    """Monomial coefficients of sqrt(2j+1) P_j in column j, j = 0..degree."""
+    c = np.zeros((degree + 1, degree + 1))
+    for j in range(degree + 1):
+        c[: j + 1, j] = np.sqrt(2 * j + 1) * leg2poly(np.eye(j + 1)[j])
+    return c
 
 
 # -- small dense-polynomial helpers (coefficient dicts on global x, y) ----

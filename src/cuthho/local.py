@@ -13,23 +13,22 @@ where q+ is the same polynomial evaluated on the neighbor (no
 re-expansion).  On the failing side of an ill-cut cell the reconstruction
 degenerates to the plain broken gradient of the cell polynomial.
 
-G is expanded in cell_basis_k, the degree-k part of the cell basis made
-orthonormal in the mean-value inner product of T^i, so its mass matrix
-is |T^i| I and G = B / |T^i| needs no solve.  In monomials scaled to the
-whole cell, and evaluated on donor faces up to about two cell radii
-away, the coefficients of G grow to ~1e4 at k=3 and cancel when applied,
-losing about four digits; the stiffness B^T M^-1 B and the lifting do
-not depend on the basis.  The failing side of an ill-cut cell
-reconstructs nothing and keeps the monomial basis.
+Every sub-cell has one basis, ``cell_basis``: degree k+1, orthonormal
+in the mean-value inner product of T^i (on a failing side, of the region
+merged with its partner).  G is expanded in its first dim P_k functions,
+whose mass matrix is |T^i| I, so G = B / |T^i| needs no solve.  Each
+sub-face has the Legendre basis of ``FaceBasis``, whose Gram matrix is
+h I, so the face projections need no solve either.  Scaled this way,
+cond(A) no longer grows as a cut shrinks; the stiffness B^T M^-1 B, the
+lifting and the discrete solution do not depend on the basis.
 
 What is kept and what is rebuilt: LocalOperators holds the volume tables
-of one sub-cell, the last one asked for.  They are its quadrature, basis
-values and orthonormal reconstruction basis; asking for another sub-cell
-rebuilds them, bit for bit the same each time.  The transforms of the
-orthonormal bases are not rebuilt: the first tables of a reconstructing
-sub-cell build those of all of them (every one that is not plain or a
-failing side, and the first plain one, which all plain ones share) in
-one stack, and they are kept for the lifetime of the operators.
+of one sub-cell, the last one asked for.  They are its quadrature and
+basis values; asking for another sub-cell rebuilds them, bit for bit the
+same each time.  The cell bases are not rebuilt: the first one asked for
+builds the transforms of all of them (every sub-cell that is not plain,
+and the first plain one, which all plain ones share) in one stack, and
+they are kept for the lifetime of the operators.
 ``assemble`` calls these operators only for the sub-cells that are not
 plain (see ``CutMesh.is_plain``) and once for the reference element that
 stands for all plain ones.  It does all of a sub-cell's work while its
@@ -55,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve, solve_triangular
+from scipy.linalg import solve_triangular
 
 from .basis import CellBasis, FaceBasis, OrthonormalBasis, space_dimension
 from .errors import NumericalError
@@ -144,10 +143,8 @@ class VolumeTables:
     i: int
     pts: np.ndarray
     w: np.ndarray
-    ek: np.ndarray  # degree-k reconstruction basis values, (npts, ng)
-    ek1: np.ndarray  # degree-(k+1) values, (npts, nc)
-    dek1: np.ndarray  # degree-(k+1) gradients, (npts, nc, 2)
-    ortho: OrthonormalBasis | None  # reconstruction basis; None on a failing side
+    ek1: np.ndarray  # cell basis values, (npts, nc); the first ng span P_k
+    dek1: np.ndarray  # cell basis gradients, (npts, nc, 2)
 
 
 @dataclass
@@ -187,109 +184,92 @@ class LocalOperators:
         self._tri_ref = triangle_rule(degree)
         self._gauss_n = points_for_degree(degree)
         self._gauss = gauss_1d(self._gauss_n)
-        self._cell_bases: dict[tuple[int, int], CellBasis] = {}
-        self._cut_rules: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._cell_bases: dict[tuple[int, int], OrthonormalBasis] = {}
         self._transforms: dict[tuple[int, int], np.ndarray] | None = None
-        self._plain_key: tuple[int, int] | None = None  # the plain sub-cells' reference
+        self._cut_rules: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._tables: VolumeTables | None = None  # the current sub-cell's
         self._iface: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     # -- geometry-backed ingredients ---------------------------------
 
-    def cell_basis(self, cid: int, i: int) -> CellBasis:
-        """Degree k+1 monomial basis of the cell unknowns of sub-cell (cid, i).
+    def cell_basis(self, cid: int, i: int) -> OrthonormalBasis:
+        """Degree k+1 basis of the cell unknowns of sub-cell (cid, i).
 
-        Centered at the sub-cell barycenter and scaled by half the cell
-        diameter; the failing side of an ill-cut cell is centered and
-        scaled on the region merged with its partner, where its
-        polynomial is actually used.  The reconstruction space has its
-        own basis, see cell_basis_k.
+        Its ``_monomials`` made orthonormal in the mean-value inner product
+        of T^i, or on a failing side of the region merged with its
+        partner, where its polynomial is used (a sliver alone can make the
+        mass matrix singular).  Its first dim P_k functions, ``lower(k)``,
+        are the basis of the gradient reconstruction space.
+
+        The first call builds the transforms of all sub-cells as one stack
+        by ``orthonormal_basis``: one for each sub-cell that is not plain,
+        and one for the first plain sub-cell, which all plain ones share,
+        being translates of one another.
         """
-        key = (cid, i)
-        if key not in self._cell_bases:
+        if self._transforms is None:
             cm = self.cm
-            c = cm.cells[cid]
-            scale = 0.5 * cm.mesh.h
-            if cm.is_ko(cid, i):
-                t = cm.partner_of(cid)
-                ct = cm.cells[t]
-                a_s, a_t = c.area[i], ct.area[i]
-                center = (a_s * c.barycenter[i] + a_t * ct.barycenter[i]) / (a_s + a_t)
-                bs = cm.mesh.cell_box(cid)
-                bt = cm.mesh.cell_box(t)
-                dx = max(bs[2], bt[2]) - min(bs[0], bt[0])
-                dy = max(bs[3], bt[3]) - min(bs[1], bt[1])
-                scale = 0.5 * float(np.hypot(dx, dy))
-            else:
-                center = c.barycenter[i]
-            self._cell_bases[key] = CellBasis(
-                self.k + 1, (float(center[0]), float(center[1])), scale
-            )
-        return self._cell_bases[key]
+            sides = cm.sides()
+            is_plain = [cm.is_plain(*key) for key in sides]
+            plain = [key for key, p in zip(sides, is_plain) if p]
+            keys = [key for key, p in zip(sides, is_plain) if not p] + plain[:1]
+            rules = []
+            for c, side in keys:
+                pts, w = self.volume_quadrature(c, side)
+                if cm.is_ko(c, side):
+                    tp, tw = self.volume_quadrature(cm.partner_of(c), side)
+                    pts, w = np.vstack([pts, tp]), np.concatenate([w, tw])
+                rules.append((pts, w))
+            e = np.zeros((len(keys), max(len(w) for _, w in rules), self.nc))
+            w = np.zeros(e.shape[:2])
+            for j, (key, (pts, wj)) in enumerate(zip(keys, rules)):
+                e[j, :len(wj)] = self._monomials(*key).eval(pts)
+                w[j, :len(wj)] = wj
+            self._transforms = dict(zip(keys, orthonormal_basis(
+                e, w, [f"sub-cell ({c}, {side})" for c, side in keys])))
+            for key in plain[1:]:
+                self._transforms[key] = self._transforms[plain[0]]
+        basis = self._cell_bases.get((cid, i))
+        if basis is None:
+            basis = self._cell_bases[cid, i] = OrthonormalBasis(
+                self._monomials(cid, i), self._transforms[cid, i])
+        return basis
 
-    def cell_basis_k(self, cid: int, i: int) -> CellBasis | OrthonormalBasis:
-        """Degree-k basis of the gradient reconstruction space of (cid, i).
-
-        The degree-k part of cell_basis made orthonormal in the mean-value
-        inner product of T^i, as held in the sub-cell's volume tables.  On
-        the failing side of an ill-cut cell, which reconstructs nothing,
-        it is the monomial basis of cell_basis one degree down.
-        """
-        if self.cm.is_ko(cid, i):
-            return self.cell_basis(cid, i).lower(self.k)
-        return self.volume_tables(cid, i).ortho
+    def _monomials(self, cid: int, i: int) -> CellBasis:
+        """Monomials of degree k+1 centered at the barycenter of (cid, i)
+        and scaled by half the cell diameter; on the failing side of an
+        ill-cut cell, of the region merged with its partner."""
+        cm = self.cm
+        c = cm.cells[cid]
+        scale = 0.5 * cm.mesh.h
+        if cm.is_ko(cid, i):
+            t = cm.partner_of(cid)
+            ct = cm.cells[t]
+            a_s, a_t = c.area[i], ct.area[i]
+            center = (a_s * c.barycenter[i] + a_t * ct.barycenter[i]) / (a_s + a_t)
+            bs = cm.mesh.cell_box(cid)
+            bt = cm.mesh.cell_box(t)
+            dx = max(bs[2], bt[2]) - min(bs[0], bt[0])
+            dy = max(bs[3], bt[3]) - min(bs[1], bt[1])
+            scale = 0.5 * float(np.hypot(dx, dy))
+        else:
+            center = c.barycenter[i]
+        return CellBasis(self.k + 1, (float(center[0]), float(center[1])), scale)
 
     def face_basis(self, fid: int, side: int) -> FaceBasis:
         seg = self.cm.faces[fid].segments[side]
-        return FaceBasis(self.k, tuple(seg[0]), tuple(seg[1]))
+        return FaceBasis(self.k, tuple(seg[0]), tuple(seg[1]), self.cm.mesh.h)
 
     def volume_tables(self, cid: int, i: int) -> VolumeTables:
-        """Quadrature and basis tables of sub-cell (cid, i).
-
-        Only the last sub-cell's tables are kept.  On a sub-cell that is
-        not a failing side they hold its orthonormal reconstruction basis,
-        whose transform comes from ``_reconstruction_transform``.
-        """
+        """Quadrature of sub-cell (cid, i) with its cell basis values and
+        gradients.  Only the last sub-cell's tables are kept."""
         t = self._tables
         if t is not None and t.cid == cid and t.i == i:
             return t
         self._tables = None  # let the previous sub-cell's tables go first
         pts, w = self.volume_quadrature(cid, i)
         basis = self.cell_basis(cid, i)
-        ek = basis.lower(self.k).eval(pts)
-        ortho = None
-        if not self.cm.is_ko(cid, i):
-            ortho = OrthonormalBasis(basis.lower(self.k),
-                                     self._reconstruction_transform(cid, i))
-            ek = ek @ ortho.transform  # as ortho.eval(pts), bit for bit
-        self._tables = VolumeTables(cid, i, pts, w, ek, basis.eval(pts),
-                                    basis.grad(pts), ortho)
+        self._tables = VolumeTables(cid, i, pts, w, basis.eval(pts), basis.grad(pts))
         return self._tables
-
-    def _reconstruction_transform(self, cid: int, i: int) -> np.ndarray:
-        """Transform of the orthonormal reconstruction basis of (cid, i).
-
-        On first use, the transforms of every sub-cell that reconstructs a
-        gradient and is not plain, and of the first plain sub-cell, are
-        built as one stack by ``orthonormal_basis``.  Plain sub-cells are
-        translates of one another, so they all share the first one's.
-        """
-        cm = self.cm
-        if self._transforms is None:
-            ok = cm.ok_sides()
-            plain = [cm.is_plain(*key) for key in ok]
-            keys = [key for key, p in zip(ok, plain) if not p]
-            self._plain_key = next((key for key, p in zip(ok, plain) if p), None)
-            keys += [self._plain_key] if self._plain_key else []
-            rules = [self.volume_quadrature(*key) for key in keys]
-            e = np.zeros((len(keys), max(len(w) for _, w in rules), self.ng))
-            w = np.zeros(e.shape[:2])
-            for j, (key, (pts, wj)) in enumerate(zip(keys, rules)):
-                e[j, :len(wj)] = self.cell_basis(*key).lower(self.k).eval(pts)
-                w[j, :len(wj)] = wj
-            transforms = orthonormal_basis(e, w, [f"sub-cell ({c}, {j})" for c, j in keys])
-            self._transforms = dict(zip(keys, transforms))
-        return self._transforms[self._plain_key if cm.is_plain(cid, i) else (cid, i)]
 
     def volume_quadrature(self, cid: int, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Points and weights of the volume quadrature of sub-cell (cid, i).
@@ -353,15 +333,15 @@ class LocalOperators:
         cm = self.cm
         ng, nc, nf = self.ng, self.nc, self.nf
         st = self.reconstruction_stencil(cid, i)
-        basis_k = self.cell_basis_k(cid, i)
-        basis = self.cell_basis(cid, i)
+        t = self.volume_tables(cid, i)
+        basis_k = self.cell_basis(cid, i).lower(self.k)
         b = np.zeros((2 * ng, st.width))
 
         # (grad u_Ti, q)
-        t = self.volume_tables(cid, i)
         ccols = st.cols(("c", cid, i), nc)
-        b[0:ng, ccols] += t.ek.T @ (t.w[:, None] * t.dek1[:, :, 0])
-        b[ng:, ccols] += t.ek.T @ (t.w[:, None] * t.dek1[:, :, 1])
+        ek = t.ek1[:, :ng]
+        b[0:ng, ccols] += ek.T @ (t.w[:, None] * t.dek1[:, :, 0])
+        b[ng:, ccols] += ek.T @ (t.w[:, None] * t.dek1[:, :, 1])
 
         # (u_dTi - u_Ti, q.n_T)_dTi and donor faces with extended q
         for owner in [cid, *cm.pairing.donors(cid, i)]:
@@ -400,9 +380,12 @@ class LocalOperators:
         return b / self.volume_tables(cid, i).w.sum(), b, st
 
     def gradient_plain(self, cid: int, i: int):
-        """Broken gradient on the failing side of an ill-cut cell."""
-        dx, dy = self.cell_basis(cid, i).derivative_matrices()
-        d = np.vstack([dx, dy])
+        """Broken gradient on the failing side of an ill-cut cell, in the
+        first dim P_k functions of its cell basis."""
+        basis = self.cell_basis(cid, i)
+        tk = basis.transform[: self.ng, : self.ng]
+        d = np.vstack([solve_triangular(tk, dm @ basis.transform)
+                       for dm in basis.mono.derivative_matrices()])
         st = Stencil.build([(("c", cid, i), self.nc)])
         return d, st
 
@@ -422,7 +405,11 @@ class LocalOperators:
     # -- stabilizations ------------------------------------------------
 
     def stab_circ(self, cid: int, i: int, kappa_i: float):
-        """Lehrenfeld-Schoberl penalty kappa/h |Pi_F(v_T) - v_F|^2 on dTi."""
+        """Lehrenfeld-Schoberl penalty kappa/h |Pi_F(v_T) - v_F|^2 on dTi.
+
+        The face basis has Gram matrix h I, so Pi_F is its moments over h
+        and the penalty is kappa times the squared coefficient residual.
+        """
         cm = self.cm
         nc, nf = self.nc, self.nf
         basis = self.cell_basis(cid, i)
@@ -434,18 +421,12 @@ class LocalOperators:
         for fid, seg, _ in faces:
             fpts, fw = self.face_quadrature(seg)
             chi = self.face_basis(fid, i).eval(fpts)
-            psi = basis.eval(fpts)
-            gram = chi.T @ (fw[:, None] * chi)
-            cmat = chi.T @ (fw[:, None] * psi)
-            try:
-                proj = solve(gram, cmat, assume_a="pos")
-            except np.linalg.LinAlgError as exc:  # pragma: no cover
-                raise NumericalError(f"singular face Gram matrix on face {fid}") from exc
             rmat = np.zeros((nf, st.width))
+            proj = chi.T @ (fw[:, None] * basis.eval(fpts)) / cm.mesh.h
             rmat[:, st.cols(("c", cid, i), nc)] = proj
             rmat[:, st.cols(("f", fid, i), nf)] -= np.eye(nf)
-            a += rmat.T @ gram @ rmat
-        a *= kappa_i / self.cm.mesh.h
+            a += rmat.T @ rmat
+        a *= kappa_i
         return 0.5 * (a + a.T), st
 
     def stab_gamma(self, cid: int, kappa1: float):
@@ -472,7 +453,7 @@ class LocalOperators:
     def lifting_coefficients(self, cid: int, g_d) -> np.ndarray:
         """Coefficients of the lifting of interface data into P^k(T^1)^2."""
         cm = self.cm
-        basis_k = self.cell_basis_k(cid, 1)
+        basis_k = self.cell_basis(cid, 1).lower(self.k)
         lm = np.zeros(2 * self.ng)
         for owner in [cid, *cm.pairing.donors(cid, 1)]:
             if not cm.cells[owner].is_cut:

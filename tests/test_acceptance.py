@@ -208,7 +208,7 @@ def _gradient_reproduced(cm, k, poly, tol=1e-11):
             got = ghat @ x[layout.stencil_indices(st)]
         t = ops.volume_tables(cid, i)
         ng = ops.ng
-        gfun = np.column_stack([t.ek @ got[:ng], t.ek @ got[ng:]])
+        gfun = np.column_stack([t.ek1[:, :ng] @ got[:ng], t.ek1[:, :ng] @ got[ng:]])
         wfun = np.column_stack([poly_eval(gx, t.pts), poly_eval(gy, t.pts)])
         num = float(np.sum(t.w * np.sum((gfun - wfun) ** 2, axis=1)))
         den = float(np.sum(t.w * (1.0 + np.sum(wfun**2, axis=1))))

@@ -23,6 +23,7 @@ from cuthho.geometry import build_cut_mesh
 from cuthho.levelset import Circle, Line, Square
 from cuthho.local import LocalOperators
 from cuthho.mesh import build_mesh
+from cuthho.study import conditioning_study
 
 CIRCLE = Circle((0.5, 0.5), 1.0 / 3.0)
 FAR_CIRCLE = Circle((5.0, 5.0), 0.1)  # leaves the whole mesh uncut on side 2
@@ -192,6 +193,21 @@ def test_condition_number_matches_dense_eigenvalues(levelset):
         assert condition_number(system) == c  # fixed start vector: bit for bit
 
 
+def test_condition_number_flat_in_small_cuts_at_level_1():
+    # at level 1 the square front leaves 31 ill-cut cells and sub-faces down
+    # to 5e-8 long; with the cell and face bases scaled to their sub-cells
+    # and sub-faces, cond no longer grows as the cut shrinks.  p = 8, 9 leave
+    # a corner piece the triangulation drops ("empty sub-cell")
+    recs = conditioning_study("square", list(range(2, 8)), [0, 1, 2, 3], level=1,
+                              theta=0.3, r=8)
+    conds = {}
+    for rec in recs:
+        conds.setdefault(rec.k, []).append(rec.cond)
+    assert sorted(conds) == [0, 1, 2, 3] and all(len(v) == 6 for v in conds.values())
+    ratios = {k: max(v) / min(v) for k, v in conds.items()}
+    assert all(r <= 10.0 for r in ratios.values()), ratios
+
+
 @pytest.mark.parametrize("breakage", ["singular", "negative definite"])
 def test_condition_number_fails_loudly(breakage):
     system = circle_system(k=1)
@@ -324,13 +340,32 @@ def fitted_hho_dense(mesh, k, layout):
     return a
 
 
+def to_monomials(mesh, ops, layout, k):
+    """M with x_oracle = M x: each cell block through its basis' transform,
+    each face block through F with chi = mono F, read at k+1 Gauss points
+    of the oracle's arc-length parameter t in [-1, 1]."""
+    m = np.zeros((layout.n_total, layout.n_total))
+    t = np.polynomial.legendre.leggauss(k + 1)[0]
+    for cid in range(mesh.n_cells):
+        idx = layout.indices(("c", cid, 2))
+        m[np.ix_(idx, idx)] = ops.cell_basis(cid, 2).transform
+    for fid in range(mesh.n_faces):
+        ends = mesh.face_endpoints(fid)
+        pts = (ends[0] + ends[1]) / 2 + 0.5 * np.outer(t, ends[1] - ends[0])
+        idx = layout.indices(("f", fid, 2))
+        m[np.ix_(idx, idx)] = np.linalg.solve(t[:, None] ** np.arange(k + 1),
+                                              ops.face_basis(fid, 2).eval(pts))
+    return m
+
+
 @pytest.mark.parametrize("k", [0, 1])
 def test_uncut_mesh_equals_fitted_hho(k):
     mesh = build_mesh(0)
     cm = build_cut_mesh(mesh, FAR_CIRCLE, theta=0.3, r=2)
     assert not cm.cut_cells()
     system = assemble(cm, k, kappa=(1.0, 1.0))
-    oracle = fitted_hho_dense(mesh, k, system.layout)
+    m = to_monomials(mesh, system.ops, system.layout, k)
+    oracle = m.T @ fitted_hho_dense(mesh, k, system.layout) @ m  # in the code's bases
     got = system.A.toarray()
     scale = np.abs(oracle).max()
     assert np.max(np.abs(got - oracle)) <= 1e-10 * scale

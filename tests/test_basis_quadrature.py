@@ -282,20 +282,28 @@ def test_basis_gradient_matches_fd():
 # -- face basis --------------------------------------------------------
 
 def test_face_basis_midpoint_centering():
-    fb = FaceBasis(2, (0.2, 0.3), (0.2, 0.4))
+    # Legendre P_0, P_1, P_2 of t in [-1, 1] from p0 to p1, each times
+    # sqrt((2j+1) h / |F|), here |F| = h: P_j(0) = 1, 0, -1/2; P_j(+-1) = (+-1)^j
+    fb = FaceBasis(2, (0.2, 0.3), (0.2, 0.4), 0.1)
+    scale = np.sqrt([1.0, 3.0, 5.0])
     mid = np.array([[0.2, 0.35]])
     vals = fb.eval(mid)[0]
-    assert vals[0] == 1.0 and abs(vals[1]) < 1e-14 and abs(vals[2]) < 1e-14
+    assert vals[0] == pytest.approx(1.0, rel=1e-14) and abs(vals[1]) < 1e-14
+    assert vals[2] == pytest.approx(-0.5 * scale[2], rel=1e-14)
     ends = fb.eval(np.array([[0.2, 0.3], [0.2, 0.4]]))
-    assert np.allclose(ends[:, 1], [-1.0, 1.0])
+    assert np.allclose(ends, [[1.0, -1.0, 1.0] * scale, scale], rtol=1e-14, atol=0)
 
 
-@pytest.mark.parametrize("length", [1e-1, 1e-4, 1e-8])
+@pytest.mark.parametrize("length", [1e-1, 1e-4, 1e-8, 5e-10])
 def test_face_gram_condition_independent_of_cut(length):
-    # short sub-faces keep a well-conditioned Gram thanks to the scaling
-    fb = FaceBasis(3, (0.5, 0.5), (0.5 + length, 0.5))
-    pts, w = segment_rule((0.5, 0.5), (0.5 + length, 0.5), 5)
-    chi = fb.eval(pts)
-    gram = chi.T @ (w[:, None] * chi)
-    cond = np.linalg.cond(gram / length)
-    assert cond < 100.0
+    # the scaling makes the Gram matrix h I on a sub-face of any length.  The
+    # Gauss points of a segment at x0 are rounded to about eps |x0|, so off
+    # the origin its Gram is h I only up to about eps |x0| / length
+    h = 0.1
+    eps = np.finfo(float).eps
+    for x0, tol in ((0.0, 1e-12), (0.5, 1e-12 + 10 * eps * 0.5 / length)):
+        fb = FaceBasis(3, (x0, 0.5), (x0 + length, 0.5), h)
+        pts, w = segment_rule((x0, 0.5), (x0 + length, 0.5), 5)
+        chi = fb.eval(pts)
+        gram = chi.T @ (w[:, None] * chi)
+        assert np.max(np.abs(gram - h * np.eye(4))) <= tol * h, x0

@@ -4,10 +4,10 @@ The exact-gradient invariant is the core: feeding the interpolate of a
 global polynomial of degree k+1 (with the ill-cut cells inheriting their
 partner's polynomial) must reproduce the exact gradient on every sub-cell
 that owns a reconstruction, including extended stencils.  Coefficients
-are compared in ``cell_basis_k``: on every sub-cell that reconstructs a
-gradient that basis is orthonormal in the mean-value inner product, so
-the comparison bounds the RMS error of the gradient over the sub-cell;
-on failing sides it is the scaled monomial basis.
+are compared in the first dim P_k functions of the cell basis: they are
+orthonormal in the mean-value inner product of the sub-cell (on failing
+sides, of the region merged with the partner), so the comparison bounds
+the RMS error of the gradient there.
 
 Every test that draws random data owns its generator, so a draw never
 depends on which tests ran before.
@@ -15,6 +15,7 @@ depends on which tests ran before.
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from cuthho.assembly import DofLayout, PlainCells, assemble, interpolate_polynomial
 from cuthho.basis import CellBasis, expand_in_basis, poly_diff
@@ -60,7 +61,7 @@ def assert_gradient_reproduced(cm, k, polys, tol=1e-11):
         scale = 1.0 + max(abs(v) for v in poly.values())
         for (cid, i), (g, st) in gradients.items():
             got = g @ x[layout.stencil_indices(st)]
-            bk = ops.cell_basis_k(cid, i)
+            bk = ops.cell_basis(cid, i).lower(k)
             want = np.concatenate([expand_in_basis(gx, bk), expand_in_basis(gy, bk)])
             assert np.max(np.abs(got - want)) <= tol * scale, (cid, i, poly)
 
@@ -95,16 +96,34 @@ def test_uncut_constant_and_linear():
 
 
 def test_reconstruction_basis_orthonormal_on_cut_and_extended_sub_cells():
+    # the whole degree-(k+1) cell basis is orthonormal on every sub-cell, a
+    # failing side on the region merged with its partner, and its first
+    # dim P_k functions are the degree-k orthonormal basis of that region
     cm = build_cut_mesh(build_mesh(0), CIRCLE, theta=0.3, r=4)
-    ops = LocalOperators(cm, 3)
+    k = 3
+    ops = LocalOperators(cm, k)
     ok = cm.ok_sides()
     assert any(cm.cells[cid].is_cut for cid, _ in ok)
     assert any(not cm.cells[cid].is_cut and cm.pairing.donors(cid, i) for cid, i in ok)
     assert any(cm.is_plain(cid, i) for cid, i in ok)
-    for cid, i in ok:
-        t = ops.volume_tables(cid, i)
-        gram = t.ek.T @ ((t.w / t.w.sum())[:, None] * t.ek)
-        assert np.max(np.abs(gram - np.eye(ops.ng))) <= 1e-12, (cid, i)
+    assert cm.ko_sides()
+    ng = ops.ng
+    for cid, i in cm.sides():
+        pts, w = ops.volume_quadrature(cid, i)
+        if cm.is_ko(cid, i):
+            tp, tw = ops.volume_quadrature(cm.partner_of(cid), i)
+            pts, w = np.vstack([pts, tp]), np.concatenate([w, tw])
+        basis = ops.cell_basis(cid, i)
+        e = basis.eval(pts)
+        gram = e.T @ ((w / w.sum())[:, None] * e)
+        assert np.max(np.abs(gram - np.eye(ops.nc))) <= 1e-12, (cid, i)
+        assert np.array_equal(basis.transform, np.triu(basis.transform)), (cid, i)
+        ek = basis.lower(k).eval(pts)
+        assert np.max(np.abs(ek - e[:, :ng])) <= 1e-14 * np.abs(e).max(), (cid, i)
+        mono_k = basis.mono.lower(k).eval(pts)
+        direct = orthonormal_basis(mono_k[None], w[None], [f"sub-cell ({cid}, {i})"])[0]
+        tk = basis.lower(k).transform
+        assert np.max(np.abs(tk - direct)) <= 1e-12 * np.abs(direct).max(), (cid, i)
 
 
 def test_orthonormal_basis_guards_degenerate_region():
@@ -125,13 +144,13 @@ def test_reconstruction_bit_identical_after_table_eviction():
     ops = LocalOperators(cm, 3)
     (cid, i), other = [s for s in cm.ok_sides() if cm.cells[s[0]].is_cut][:2]
     tables = ops.volume_tables(cid, i)
-    basis = ops.cell_basis_k(cid, i)
+    basis = ops.cell_basis(cid, i)
     ghat = ops.gradient_reconstruction(cid, i)[0]
     ops.volume_tables(*other)  # only the last sub-cell's tables are kept
     rebuilt = ops.volume_tables(cid, i)
     assert rebuilt is not tables
-    assert np.array_equal(rebuilt.ek, tables.ek)
-    assert np.array_equal(ops.cell_basis_k(cid, i).transform, basis.transform)
+    assert np.array_equal(rebuilt.ek1, tables.ek1)
+    assert np.array_equal(ops.cell_basis(cid, i).transform, basis.transform)
     assert np.array_equal(ops.gradient_reconstruction(cid, i)[0], ghat)
 
 
@@ -502,6 +521,16 @@ def fitted_reconstruction(mesh, cid, k):
     return ghat
 
 
+def face_to_monomials(mesh, ops, fid, k):
+    """F with chi = mono F on face fid: maps coefficients in the face basis
+    of side 2 to those in the oracle's monomials of the arc-length
+    parameter t in [-1, 1], read at k+1 Gauss points of t."""
+    ends = mesh.face_endpoints(fid)
+    t = np.polynomial.legendre.leggauss(k + 1)[0]
+    pts = (ends[0] + ends[1]) / 2 + 0.5 * np.outer(t, ends[1] - ends[0])
+    return np.linalg.solve(t[:, None] ** np.arange(k + 1), ops.face_basis(fid, 2).eval(pts))
+
+
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_reconstruction_matches_fitted_hho_on_uncut_cell(k):
     mesh = build_mesh(0)
@@ -509,10 +538,14 @@ def test_reconstruction_matches_fitted_hho_on_uncut_cell(k):
     ops = LocalOperators(cm, k)
     cid = mesh.cell_id(4, 6)
     ghat, _, st = ops.gradient_reconstruction(cid, 2)
-    transform = ops.cell_basis_k(cid, 2).transform  # to the oracle's monomials
+    basis = ops.cell_basis(cid, 2)
+    transform = basis.lower(k).transform  # rows to the oracle's monomials
     ng = ops.ng
     ghat = np.vstack([transform @ ghat[:ng], transform @ ghat[ng:]])
-    oracle = fitted_reconstruction(mesh, cid, k)
+    # columns: stencil dofs in the oracle's cell and face monomials
+    to_mono = block_diag(basis.transform, *[face_to_monomials(mesh, ops, fid, k)
+                                            for fid in mesh.cell_faces(cid)])
+    oracle = fitted_reconstruction(mesh, cid, k) @ to_mono
     assert st.keys[0] == ("c", cid, 2)
     assert ghat.shape == oracle.shape
     assert np.max(np.abs(ghat - oracle)) <= 1e-10 * max(1.0, np.abs(oracle).max())
