@@ -211,19 +211,22 @@ def check_degree(k: int) -> None:
         raise ConfigError("polynomial degree k must be in 0..3")
 
 
-def check_options(r: int, eta: float) -> None:
-    """Reject r < 0 and an eta that is not positive and finite with a
-    ``ConfigError``.
+def check_options(r: int, eta: float, theta: float) -> None:
+    """Reject r < 0, an eta that is not positive and finite and a theta
+    that is not finite and >= 0 with a ``ConfigError``.
 
-    ``r`` is the interface subdivision exponent (2^r chords per cut cell)
-    and ``eta`` the weight of the extension penalty; with eta <= 0 the
-    cell blocks of paired cells are singular.  Callers that build a cut
-    mesh call it first, next to ``check_degree``.
+    ``r`` is the interface subdivision exponent (2^r chords per cut cell),
+    ``eta`` the weight of the extension penalty (with eta <= 0 the cell
+    blocks of paired cells are singular) and ``theta`` the ill-cut
+    flagging parameter.  Callers that build a cut mesh call it first,
+    next to ``check_degree``.
     """
     if not r >= 0:
         raise ConfigError(f"interface subdivision exponent r must be >= 0, got {r}")
     if not (np.isfinite(eta) and eta > 0.0):
         raise ConfigError(f"extension weight eta must be positive and finite, got {eta}")
+    if not (np.isfinite(theta) and theta >= 0.0):
+        raise ConfigError(f"flagging parameter theta must be finite and >= 0, got {theta}")
 
 
 def assemble(cm: CutMesh, k: int, kappa: tuple[float, float] = (1.0, 1.0),
@@ -240,13 +243,12 @@ def assemble(cm: CutMesh, k: int, kappa: tuple[float, float] = (1.0, 1.0),
     per side on their stacked quadrature points (see ``PlainCells``).
 
     Every other sub-cell (cut, failing or receiving donors) takes the
-    per-cell path.  One pass over them does all of each sub-cell's work
-    while its volume tables are current: stiffness and lifting, the
-    extension penalty of each donor, the face penalty and the volume
-    load, and, once per cut cell, the interface penalty and load.  So
-    each sub-cell's tables are built once.  Each kind of term keeps its
-    own triplet list, and the loads are added to ``b`` after the
-    liftings, each cell's volume load before its interface load.
+    per-cell path.  One pass over them does each sub-cell's stiffness and
+    lifting, the extension penalty of each donor, the face penalty and
+    the volume load, and, once per cut cell, the interface penalty and
+    load.  Each kind of term keeps its own triplet list, and the loads
+    are added to ``b`` after the liftings, each cell's volume load before
+    its interface load.
 
     The two paths meet in ``A`` and ``b``: ``condense`` and ``solve_full``
     do not tell plain sub-cells from the others.
@@ -328,8 +330,7 @@ def assemble(cm: CutMesh, k: int, kappa: tuple[float, float] = (1.0, 1.0),
 def _project_on_face(ops: LocalOperators, fc, i: int, fn) -> np.ndarray:
     """L2-projection of ``fn(pts)`` onto the polynomials of face side (fc, i):
     the face basis has Gram matrix h I, so its moments over h."""
-    pts, w = ops.face_quadrature(fc.segments[i])
-    chi = ops.face_basis(fc.fid, i).eval(pts)
+    pts, w, chi = ops.face_rule(fc.segments[i])
     return chi.T @ (w * fn(pts)) / ops.cm.mesh.h
 
 
@@ -504,8 +505,8 @@ def energy_error(system: System, x: np.ndarray, case) -> float:
 
     Plain sub-cells are summed together on the reference element, with
     one evaluation of ``grad_u`` per side.  Every other sub-cell is summed
-    on its own quadrature with the gradients of its cell basis; its
-    volume tables are not rebuilt.
+    on its own quadrature with the basis gradients of its volume tables,
+    which ``assemble`` built and the operators keep.
     """
     total = 0.0
     ops = system.ops
@@ -517,12 +518,11 @@ def energy_error(system: System, x: np.ndarray, case) -> float:
     for cid, i in system.cm.sides():
         if is_plain[cid]:
             continue
-        pts, w = ops.volume_quadrature(cid, i)
-        dek1 = ops.cell_basis(cid, i).grad(pts)
+        t = ops.volume_tables(cid, i)
         coef = x[system.layout.indices(("c", cid, i))]
-        gh = np.tensordot(dek1, coef, axes=([1], [0]))
-        diff = gh - case.grad_u(i, pts)
-        total += kap[i] * float(np.sum(w * np.sum(diff * diff, axis=1)))
+        gh = np.tensordot(t.dek1, coef, axes=([1], [0]))
+        diff = gh - case.grad_u(i, t.pts)
+        total += kap[i] * float(np.sum(t.w * np.sum(diff * diff, axis=1)))
     return float(np.sqrt(total))
 
 

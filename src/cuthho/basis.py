@@ -11,7 +11,9 @@ orthonormal in the mean-value inner product of the sub-cell.  Its first
 dim P_k functions (``OrthonormalBasis.lower``) are orthonormal too, and
 are the gradient reconstruction basis.  Face unknowns use Legendre
 polynomials of the sub-face's arc length, scaled so that their Gram
-matrix is h I whatever the sub-face's length.
+matrix is h I whatever the sub-face's length; they are only needed at
+the sub-face's Gauss points, where ``LocalOperators.face_rule`` takes
+their values from one reference table.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from functools import lru_cache, cached_property
 from math import comb
 
 import numpy as np
-from numpy.polynomial.legendre import leg2poly
 from scipy.linalg import solve_triangular
 
 
@@ -120,47 +121,6 @@ class OrthonormalBasis:
         """The first dim P_degree functions: the transform's leading block."""
         n = space_dimension(degree)
         return OrthonormalBasis(self.mono.lower(degree), self.transform[:n, :n])
-
-
-@dataclass(frozen=True)
-class FaceBasis:
-    """Legendre polynomials P_j(t) of the arc-length parameter t in [-1, 1]
-    of the segment p0-p1, times sqrt((2j+1) h / |F|): their Gram matrix
-    on the segment is h I."""
-
-    degree: int
-    p0: tuple[float, float]
-    p1: tuple[float, float]
-    h: float
-
-    @cached_property
-    def _frame(self) -> tuple[np.ndarray, np.ndarray, float]:
-        p0 = np.asarray(self.p0, dtype=float)
-        p1 = np.asarray(self.p1, dtype=float)
-        mid = 0.5 * (p0 + p1)
-        length = float(np.linalg.norm(p1 - p0))
-        tang = (p1 - p0) / length if length > 0 else np.array([1.0, 0.0])
-        return mid, tang, 0.5 * length
-
-    @property
-    def dim(self) -> int:
-        return self.degree + 1
-
-    def eval(self, pts: np.ndarray) -> np.ndarray:
-        mid, tang, half = self._frame
-        pts = np.atleast_2d(pts)
-        t = ((pts - mid) @ tang) / half
-        powers = t[:, None] ** np.arange(self.degree + 1)[None, :]
-        return powers @ _legendre_coefficients(self.degree) * np.sqrt(self.h / (2 * half))
-
-
-@lru_cache(maxsize=None)
-def _legendre_coefficients(degree: int) -> np.ndarray:
-    """Monomial coefficients of sqrt(2j+1) P_j in column j, j = 0..degree."""
-    c = np.zeros((degree + 1, degree + 1))
-    for j in range(degree + 1):
-        c[: j + 1, j] = np.sqrt(2 * j + 1) * leg2poly(np.eye(j + 1)[j])
-    return c
 
 
 # -- small dense-polynomial helpers (coefficient dicts on global x, y) ----

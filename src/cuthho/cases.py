@@ -233,8 +233,8 @@ def make_case(name: str, kappa2: float | None = None) -> Case:
         raise ConfigError(f"unknown case {name!r}; available: {available_cases()}")
     builder, default_k2 = _BUILDERS[name]
     k2 = default_k2 if kappa2 is None else float(kappa2)
-    if k2 < 1.0:
-        raise ConfigError("kappa2 must be >= kappa1 = 1")
+    if not (np.isfinite(k2) and k2 >= 1.0):
+        raise ConfigError(f"kappa2 must be finite and >= kappa1 = 1, got {k2}")
     case = builder(k2)
     if isinstance(case.levelset, (Circle,)) and not interface_clear_of_boundary(case.levelset):
         raise GeometryError("interface touches the domain boundary")

@@ -17,33 +17,29 @@ Every sub-cell has one basis, ``cell_basis``: degree k+1, orthonormal
 in the mean-value inner product of T^i (on a failing side, of the region
 merged with its partner).  G is expanded in its first dim P_k functions,
 whose mass matrix is |T^i| I, so G = B / |T^i| needs no solve.  Each
-sub-face has the Legendre basis of ``FaceBasis``, whose Gram matrix is
-h I, so the face projections need no solve either.  Scaled this way,
-cond(A) no longer grows as a cut shrinks; the stiffness B^T M^-1 B, the
-lifting and the discrete solution do not depend on the basis.
+sub-face has Legendre polynomials of its arc length, scaled so that
+their Gram matrix is h I, so the face projections need no solve either;
+``face_rule`` gives their values at the sub-face's Gauss points from one
+reference table.  Scaled this way, cond(A) no longer grows as a cut
+shrinks; the stiffness B^T M^-1 B, the lifting and the discrete
+solution do not depend on the basis.
 
-What is kept and what is rebuilt: LocalOperators holds the volume tables
-of one sub-cell, the last one asked for.  They are its quadrature and
-basis values; asking for another sub-cell rebuilds them, bit for bit the
-same each time.  The cell bases are not rebuilt: the first one asked for
-builds the transforms of all of them (every sub-cell that is not plain,
-and the first plain one, which all plain ones share) in one stack, and
-they are kept for the lifetime of the operators.
-``assemble`` calls these operators only for the sub-cells that are not
-plain (see ``CutMesh.is_plain``) and once for the reference element that
-stands for all plain ones.  It does all of a sub-cell's work while its
-tables are current, so it builds them once; ``energy_error`` needs only
-the quadrature and the gradients of the cell basis, and takes those
-without the tables.  Cell bases and the interface quadrature of each cut
-cell are kept for the lifetime of the operators: donors' receivers read
-them.  So is the volume rule of each cut sub-cell: its fan rule (a
-collapsed product rule on each triangle, 25 nodes each at k=3, so ~26k
-points at r=10) is compressed once to at most dim P_{2k+3} positive
-nodes with the same moments to degree 2k+3, and only the compressed
-rule is kept, so the tables, every operator and ``energy_error`` read
-the same few nodes.  Every operator
-integrand has degree at most 2k+2, so the compression changes the
-operators by round-off only.
+Everything built here is kept for the lifetime of the operators, once
+per sub-cell or cut cell: the cell bases, whose transforms the first
+call builds for all sub-cells in one stack (every sub-cell that is not
+plain, and the first plain one, which all plain ones share); the
+interface quadrature of each cut cell, which donors' receivers read
+too; the volume rule of each cut sub-cell; and each sub-cell's volume
+tables, its quadrature with the values and gradients of its cell basis,
+which the operators and ``energy_error`` read.  ``assemble`` calls these
+operators only for the sub-cells that are not plain (see
+``CutMesh.is_plain``) and once for the reference element that stands for
+all plain ones.  A cut sub-cell's fan rule (a collapsed product rule on
+each triangle, 25 nodes each at k=3, so ~26k points at r=10) is
+compressed once to at most dim P_{2k+3} positive nodes with the same
+moments to degree 2k+3, and only the compressed rule is kept.  Every
+operator integrand has degree at most 2k+2, so the compression changes
+the operators by round-off only.
 
 Dof blocks are addressed by keys ('c', cid, side) and ('f', fid, side);
 all operators are returned together with their ordered key stencils.
@@ -54,9 +50,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import legvander
 from scipy.linalg import solve_triangular
 
-from .basis import CellBasis, FaceBasis, OrthonormalBasis, space_dimension
+from .basis import CellBasis, OrthonormalBasis, space_dimension
 from .errors import NumericalError
 from .geometry import UNCUT, CutMesh
 from .quadrature import (
@@ -139,8 +136,6 @@ def orthonormal_basis(e: np.ndarray, w: np.ndarray, names) -> np.ndarray:
 class VolumeTables:
     """Volume quadrature of one sub-cell with its basis evaluations."""
 
-    cid: int
-    i: int
     pts: np.ndarray
     w: np.ndarray
     ek1: np.ndarray  # cell basis values, (npts, nc); the first ng span P_k
@@ -184,10 +179,12 @@ class LocalOperators:
         self._tri_ref = triangle_rule(degree)
         self._gauss_n = points_for_degree(degree)
         self._gauss = gauss_1d(self._gauss_n)
+        # sqrt(2j+1) P_j at the Gauss parameters, j = 0..k: Gram 2 I
+        self._face_ref = legvander(self._gauss[0], k) * np.sqrt(2 * np.arange(k + 1) + 1)
         self._cell_bases: dict[tuple[int, int], OrthonormalBasis] = {}
         self._transforms: dict[tuple[int, int], np.ndarray] | None = None
         self._cut_rules: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._tables: VolumeTables | None = None  # the current sub-cell's
+        self._tables: dict[tuple[int, int], VolumeTables] = {}
         self._iface: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     # -- geometry-backed ingredients ---------------------------------
@@ -255,21 +252,15 @@ class LocalOperators:
             center = c.barycenter[i]
         return CellBasis(self.k + 1, (float(center[0]), float(center[1])), scale)
 
-    def face_basis(self, fid: int, side: int) -> FaceBasis:
-        seg = self.cm.faces[fid].segments[side]
-        return FaceBasis(self.k, tuple(seg[0]), tuple(seg[1]), self.cm.mesh.h)
-
     def volume_tables(self, cid: int, i: int) -> VolumeTables:
         """Quadrature of sub-cell (cid, i) with its cell basis values and
-        gradients.  Only the last sub-cell's tables are kept."""
-        t = self._tables
-        if t is not None and t.cid == cid and t.i == i:
-            return t
-        self._tables = None  # let the previous sub-cell's tables go first
-        pts, w = self.volume_quadrature(cid, i)
-        basis = self.cell_basis(cid, i)
-        self._tables = VolumeTables(cid, i, pts, w, basis.eval(pts), basis.grad(pts))
-        return self._tables
+        gradients, built on the first call and kept."""
+        t = self._tables.get((cid, i))
+        if t is None:
+            pts, w = self.volume_quadrature(cid, i)
+            basis = self.cell_basis(cid, i)
+            t = self._tables[cid, i] = VolumeTables(pts, w, basis.eval(pts), basis.grad(pts))
+        return t
 
     def volume_quadrature(self, cid: int, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Points and weights of the volume quadrature of sub-cell (cid, i).
@@ -305,8 +296,15 @@ class LocalOperators:
             hit = self._iface[cid] = (pts, w, self.cm.levelset.normals(pts))
         return hit
 
-    def face_quadrature(self, seg: np.ndarray):
-        return segment_rule(seg[0], seg[1], self._gauss_n)
+    def face_rule(self, seg: np.ndarray):
+        """Gauss points and weights of sub-face ``seg`` and the values there
+        of its basis, Legendre polynomials of the arc length scaled so that
+        their Gram matrix is h I: the reference table times sqrt(h / |F|),
+        |F| the sum of the weights.  A zero-length segment has no points."""
+        pts, w = segment_rule(seg[0], seg[1], self._gauss_n)
+        if not len(w):
+            return pts, w, np.zeros((0, self.nf))
+        return pts, w, self._face_ref * np.sqrt(self.cm.mesh.h / w.sum())
 
     # -- gradient reconstruction --------------------------------------
 
@@ -348,10 +346,10 @@ class LocalOperators:
             obasis = self.cell_basis(owner, i)
             ocols = st.cols(("c", owner, i), nc)
             for fid, seg, nrm in cm.subfaces(owner, i):
-                fpts, fw = self.face_quadrature(seg)
-                phif = basis_k.eval(fpts)  # q (extended when owner != cid)
-                chi = self.face_basis(fid, i).eval(fpts)
+                fpts, fw, chi = self.face_rule(seg)
                 psi = obasis.eval(fpts)
+                # q, extended when owner != cid; else the leading block of psi
+                phif = psi[:, :ng] if owner == cid else basis_k.eval(fpts)
                 fcols = st.cols(("f", fid, i), nf)
                 for comp, rows in ((0, slice(0, ng)), (1, slice(ng, 2 * ng))):
                     wn = fw * nrm[comp]
@@ -360,9 +358,9 @@ class LocalOperators:
             # jump across the interface, only tested on side 1
             if i == 1 and cm.cells[owner].is_cut:
                 ipts, iw, inrm = self.interface_quadrature(owner)
-                phii = basis_k.eval(ipts)
                 psi1 = self.cell_basis(owner, 1).eval(ipts)
                 psi2 = self.cell_basis(owner, 2).eval(ipts)
+                phii = psi1[:, :ng] if owner == cid else basis_k.eval(ipts)
                 c2cols = st.cols(("c", owner, 2), nc)
                 for comp, rows in ((0, slice(0, ng)), (1, slice(ng, 2 * ng))):
                     wn = iw * inrm[:, comp]
@@ -419,8 +417,7 @@ class LocalOperators:
         st = Stencil.build(ks)
         a = np.zeros((st.width, st.width))
         for fid, seg, _ in faces:
-            fpts, fw = self.face_quadrature(seg)
-            chi = self.face_basis(fid, i).eval(fpts)
+            fpts, fw, chi = self.face_rule(seg)
             rmat = np.zeros((nf, st.width))
             proj = chi.T @ (fw[:, None] * basis.eval(fpts)) / cm.mesh.h
             rmat[:, st.cols(("c", cid, i), nc)] = proj

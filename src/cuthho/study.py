@@ -81,7 +81,7 @@ def solve_single(case: Case, k: int, level: int, r: int | None = None,
     """Run one solve; returns (record, system, solution)."""
     assembly.check_degree(k)
     r_eff = case.default_r if r is None else r
-    assembly.check_options(r_eff, eta)
+    assembly.check_options(r_eff, eta, theta)
     if check_case:
         verify_case(case)
     t0 = time.perf_counter()
@@ -115,7 +115,8 @@ def convergence_study(case_name: str, ks, levels, r: int | None = None,
     to the first such k's ``wall_time_s``.  A k whose solve fails at a
     level keeps the rows solved before it and is not solved further.
     Records come sorted by k, then level; ``progress`` sees them level by
-    level.
+    level.  Repeated levels are solved once, and the rate between two
+    solved levels is per halving of h: log2(e_a / e_b) / (b - a).
     """
     case = make_case(case_name, kappa2=kappa2)
     verify_case(case)
@@ -123,10 +124,10 @@ def convergence_study(case_name: str, ks, levels, r: int | None = None,
     for k in ks:
         assembly.check_degree(k)
     r_eff = case.default_r if r is None else r
-    assembly.check_options(r_eff, eta)
+    assembly.check_options(r_eff, eta, theta)
     rows: dict[int, list[RunRecord]] = {k: [] for k in ks}
     active = list(ks)
-    for level in sorted(levels):
+    for level in sorted(set(levels)):
         t0 = time.perf_counter()
         try:
             cm = build_cut_mesh(build_mesh(level), case.levelset, theta=theta, r=r_eff)
@@ -143,9 +144,10 @@ def convergence_study(case_name: str, ks, levels, r: int | None = None,
                     continue
                 finally:
                     t0 = time.perf_counter()
-                if rows[k] and rows[k][-1].energy_error and rec.energy_error:
-                    rate = float(np.log2(rows[k][-1].energy_error / rec.energy_error))
-                    rec = replace(rec, rate=rate)
+                prev = rows[k][-1] if rows[k] else None
+                if prev and prev.energy_error and rec.energy_error:
+                    rate = np.log2(prev.energy_error / rec.energy_error) / (level - prev.level)
+                    rec = replace(rec, rate=float(rate))
                 rows[k].append(rec)
                 if progress:
                     progress(rec)
@@ -171,7 +173,7 @@ def conditioning_study(interface: str, sweep, ks, level: int = 0,
     """
     for k in ks:
         assembly.check_degree(k)
-    assembly.check_options(r, eta)
+    assembly.check_options(r, eta, theta)
     records = []
     mesh = build_mesh(level)
     for val in sweep:
@@ -201,11 +203,15 @@ def conditioning_study(interface: str, sweep, ks, level: int = 0,
 def theta_study(case_name: str, thetas, k: int, levels, r: int | None = None,
                 eta: float = 20.0, kappa2: float | None = None,
                 progress=None) -> list[RunRecord]:
-    """Convergence sweeps over the ill-cut flagging parameter."""
+    """Convergence sweeps over the ill-cut flagging parameter; every theta
+    is checked before the first sweep builds any geometry."""
+    thetas = [float(theta) for theta in thetas]
+    for theta in thetas:
+        assembly.check_options(0 if r is None else r, eta, theta)
     records = []
     for theta in thetas:
         records.extend(
-            convergence_study(case_name, [k], levels, r=r, theta=float(theta),
+            convergence_study(case_name, [k], levels, r=r, theta=theta,
                               eta=eta, kappa2=kappa2, progress=progress)
         )
     return records

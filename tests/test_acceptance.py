@@ -268,8 +268,7 @@ def test_criterion_8_invariants():
         coef = x[layout.indices(("c", cid, i))]
         basis = ops.cell_basis(cid, i)
         for fid, seg, _ in cm.subfaces(cid, i):
-            fpts, fw = ops.face_quadrature(seg)
-            chi = ops.face_basis(fid, i).eval(fpts)
+            fpts, fw, chi = ops.face_rule(seg)
             gram = chi.T @ (fw[:, None] * chi)
             proj = dense_solve(gram, chi.T @ (fw * (basis.eval(fpts) @ coef)),
                                assume_a="pos")

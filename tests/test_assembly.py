@@ -342,19 +342,20 @@ def fitted_hho_dense(mesh, k, layout):
 
 def to_monomials(mesh, ops, layout, k):
     """M with x_oracle = M x: each cell block through its basis' transform,
-    each face block through F with chi = mono F, read at k+1 Gauss points
-    of the oracle's arc-length parameter t in [-1, 1]."""
+    each face block through F with chi = mono F, fitted at the k+2 points
+    of the face rule in the oracle's arc-length parameter t in [-1, 1]."""
     m = np.zeros((layout.n_total, layout.n_total))
-    t = np.polynomial.legendre.leggauss(k + 1)[0]
     for cid in range(mesh.n_cells):
         idx = layout.indices(("c", cid, 2))
         m[np.ix_(idx, idx)] = ops.cell_basis(cid, 2).transform
     for fid in range(mesh.n_faces):
         ends = mesh.face_endpoints(fid)
-        pts = (ends[0] + ends[1]) / 2 + 0.5 * np.outer(t, ends[1] - ends[0])
+        pts, _, chi = ops.face_rule(ops.cm.faces[fid].segments[2])
+        e = ends[1] - ends[0]
+        t = 2 * (pts - (ends[0] + ends[1]) / 2) @ e / (e @ e)
         idx = layout.indices(("f", fid, 2))
-        m[np.ix_(idx, idx)] = np.linalg.solve(t[:, None] ** np.arange(k + 1),
-                                              ops.face_basis(fid, 2).eval(pts))
+        m[np.ix_(idx, idx)] = np.linalg.lstsq(t[:, None] ** np.arange(k + 1), chi,
+                                              rcond=None)[0]
     return m
 
 

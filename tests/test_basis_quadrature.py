@@ -5,7 +5,6 @@ import pytest
 
 from cuthho.basis import (
     CellBasis,
-    FaceBasis,
     expand_in_basis,
     monomial_exponents,
     poly_diff,
@@ -14,6 +13,10 @@ from cuthho.basis import (
     space_dimension,
 )
 from cuthho.errors import NumericalError
+from cuthho.geometry import build_cut_mesh
+from cuthho.levelset import Circle
+from cuthho.local import LocalOperators
+from cuthho.mesh import build_mesh
 from cuthho.quadrature import (
     box_rule,
     compress_rule,
@@ -281,29 +284,42 @@ def test_basis_gradient_matches_fd():
 
 # -- face basis --------------------------------------------------------
 
+def face_operators(k):
+    """Operators on a level-0 cut mesh: only the mesh size h matters here."""
+    cm = build_cut_mesh(build_mesh(0), Circle((0.5, 0.5), 1.0 / 3.0), theta=0.3, r=2)
+    return LocalOperators(cm, k)
+
+
 def test_face_basis_midpoint_centering():
-    # Legendre P_0, P_1, P_2 of t in [-1, 1] from p0 to p1, each times
-    # sqrt((2j+1) h / |F|), here |F| = h: P_j(0) = 1, 0, -1/2; P_j(+-1) = (+-1)^j
-    fb = FaceBasis(2, (0.2, 0.3), (0.2, 0.4), 0.1)
-    scale = np.sqrt([1.0, 3.0, 5.0])
-    mid = np.array([[0.2, 0.35]])
-    vals = fb.eval(mid)[0]
-    assert vals[0] == pytest.approx(1.0, rel=1e-14) and abs(vals[1]) < 1e-14
-    assert vals[2] == pytest.approx(-0.5 * scale[2], rel=1e-14)
-    ends = fb.eval(np.array([[0.2, 0.3], [0.2, 0.4]]))
-    assert np.allclose(ends, [[1.0, -1.0, 1.0] * scale, scale], rtol=1e-14, atol=0)
+    # the face rule's values are sqrt(2j+1) P_j(t) at the Gauss parameters t
+    # in [-1, 1] from p0 to p1, times sqrt(h / |F|), here |F| = h; the
+    # middle of the 5 Gauss points is the sub-face's midpoint, where
+    # P_j(0) = 1, 0, -1/2, 0
+    ops = face_operators(3)
+    h = ops.cm.mesh.h
+    p0 = np.array([0.2, 0.3])
+    p1 = p0 + h * np.array([0.6, 0.8])
+    pts, w, chi = ops.face_rule(np.array([p0, p1]))
+    t = gauss_1d(points_for_degree(9))[0]
+    assert np.allclose(pts, (p0 + p1) / 2 + 0.5 * np.outer(t, p1 - p0), rtol=0, atol=1e-15)
+    scale = np.sqrt([1.0, 3.0, 5.0, 7.0])
+    legendre = np.column_stack([np.ones_like(t), t, (3 * t**2 - 1) / 2, (5 * t**3 - 3 * t) / 2])
+    assert np.abs(chi - legendre * scale).max() <= 1e-14
+    assert np.allclose(pts[2], (p0 + p1) / 2, rtol=0, atol=1e-15)
+    assert np.allclose(chi[2], [1.0, 0.0, -0.5 * scale[2], 0.0], rtol=0, atol=1e-14)
+    # a zero-length segment has an empty rule
+    pts, w, chi = ops.face_rule(np.array([p0, p0]))
+    assert pts.shape == (0, 2) and w.shape == (0,) and chi.shape == (0, 4)
 
 
 @pytest.mark.parametrize("length", [1e-1, 1e-4, 1e-8, 5e-10])
 def test_face_gram_condition_independent_of_cut(length):
-    # the scaling makes the Gram matrix h I on a sub-face of any length.  The
-    # Gauss points of a segment at x0 are rounded to about eps |x0|, so off
-    # the origin its Gram is h I only up to about eps |x0| / length
-    h = 0.1
-    eps = np.finfo(float).eps
-    for x0, tol in ((0.0, 1e-12), (0.5, 1e-12 + 10 * eps * 0.5 / length)):
-        fb = FaceBasis(3, (x0, 0.5), (x0 + length, 0.5), h)
-        pts, w = segment_rule((x0, 0.5), (x0 + length, 0.5), 5)
-        chi = fb.eval(pts)
+    # the scaling makes the Gram matrix h I on a sub-face of any length and
+    # position: the values come from the reference table, not from the
+    # rounded coordinates of the Gauss points
+    ops = face_operators(3)
+    h = ops.cm.mesh.h
+    for x0 in (0.0, 0.5):
+        pts, w, chi = ops.face_rule(np.array([[x0, 0.5], [x0 + length, 0.5]]))
         gram = chi.T @ (w[:, None] * chi)
-        assert np.max(np.abs(gram - h * np.eye(4))) <= tol * h, x0
+        assert np.max(np.abs(gram - h * np.eye(4))) <= 1e-12 * h, x0

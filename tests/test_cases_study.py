@@ -187,6 +187,22 @@ def test_convergence_builds_one_cut_mesh_per_level(monkeypatch):
         dataclasses.replace(rec, wall_time_s=0.0) for rec in per_k]
 
 
+def test_convergence_rate_is_per_halving_across_a_level_gap(monkeypatch):
+    # errors 4^-level: two halvings from level 0 to 2 are rate 2, not 4
+    def quick_solve(cm, case, k, level, r, theta, eta, want_cond, condensed, t0):
+        rec = study.RunRecord(case.name, k, level, r, theta, eta, case.kappa[1],
+                              1, 4.0 ** -level)
+        return rec, None, None
+
+    built = []
+    monkeypatch.setattr(study, "build_cut_mesh", lambda mesh, *a, **kw: built.append(mesh.level))
+    monkeypatch.setattr(study, "_solve_on", quick_solve)
+    recs = convergence_study("patch-0", [1], [2, 0, 2], r=2)
+    assert built == [0, 2]  # a repeated level is solved once
+    assert [(rec.level, rec.rate) for rec in recs] == [(0, None), (2, 2.0)]
+    assert [rec.rate for rec in convergence_study("patch-0", [1], [0, 0], r=2)] == [None]
+
+
 def test_cut_cell_solve_does_not_import_scipy_optimize():
     # scipy.optimize alone adds ~17 MiB of resident memory; the weights of
     # the compressed cut-cell rules come from the package's own NNLS
@@ -338,6 +354,20 @@ def test_cli_rejects_empty_or_reversed_lists(argv, tmp_path, capsys):
      "extension weight eta must be positive and finite"),
     (["study", "conditioning", "--interface", "circle", "--sweep", "0", "--r", "-2"],
      "interface subdivision exponent r must be >= 0"),
+    (["solve", "--case", "sinsin", "--k", "1", "--level", "0", "--theta", "nan"],
+     "flagging parameter theta must be finite and >= 0"),
+    (["solve", "--case", "sinsin", "--k", "1", "--level", "0", "--theta", "-1"],
+     "flagging parameter theta must be finite and >= 0"),
+    (["study", "theta", "--theta", "0.3,inf", "--levels", "0"],
+     "flagging parameter theta must be finite and >= 0"),
+    (["study", "conditioning", "--interface", "square", "--sweep", "2", "--theta", "-0.1"],
+     "flagging parameter theta must be finite and >= 0"),
+    (["solve", "--case", "sinsin", "--k", "1", "--level", "0", "--kappa2", "inf"],
+     "kappa2 must be finite and >= kappa1 = 1"),
+    (["solve", "--case", "sinsin", "--k", "1", "--level", "0", "--kappa2", "nan"],
+     "kappa2 must be finite and >= kappa1 = 1"),
+    (["study", "convergence", "--case", "contrast", "--levels", "0", "--kappa2", "0.5"],
+     "kappa2 must be finite and >= kappa1 = 1"),
 ])
 def test_cli_bad_r_or_eta_rejected_before_geometry(argv, message, monkeypatch, capsys):
     def no_geometry(*args, **kwargs):
