@@ -33,7 +33,6 @@ from .geometry import (
     build_cut_mesh,
     build_pairing,
     build_polyline,
-    intersect_edge,
     triangulate_polygon,
 )
 from .levelset import Circle, Flower, LevelSet, Line, Square

@@ -22,7 +22,9 @@ from scipy.sparse.csgraph import connected_components
 from .basis import expand_in_basis, poly_eval, space_dimension
 from .errors import ConfigError, NumericalError
 from .geometry import CutMesh
+from .levelset import interface_clear_of_boundary
 from .local import Key, LocalOperators, inverse_cholesky
+from .mesh import MAX_LEVEL
 
 
 @dataclass
@@ -201,32 +203,36 @@ class System:
         return self.A[free][:, free].tocsr(), bmod[free]
 
 
-def check_degree(k: int) -> None:
-    """Reject a polynomial degree outside 0..3 with a ``ConfigError``.
+def check_inputs(*, ks=(), levels=(), r: int | None = None, eta: float | None = None,
+                 thetas=(), kappa2: float | None = None, circles=()) -> None:
+    """The one statement of valid input: raise a ``ConfigError`` unless each
+    degree k is in 0..3, each level in 0..MAX_LEVEL, r >= 0, eta positive
+    and finite (eta <= 0 makes paired cells' blocks singular), each theta
+    finite and >= 0, kappa2 finite and >= kappa1 = 1, and each (name,
+    Circle) of positive radius with side 1 inside the unit square.
 
-    Callers that build a cut mesh call it first, so a bad degree costs
-    no geometry.
+    Each entry point passes all of its inputs in one call before it builds
+    any geometry; an input that is not passed is not checked.
     """
-    if not 0 <= k <= 3:
-        raise ConfigError("polynomial degree k must be in 0..3")
-
-
-def check_options(r: int, eta: float, theta: float) -> None:
-    """Reject r < 0, an eta that is not positive and finite and a theta
-    that is not finite and >= 0 with a ``ConfigError``.
-
-    ``r`` is the interface subdivision exponent (2^r chords per cut cell),
-    ``eta`` the weight of the extension penalty (with eta <= 0 the cell
-    blocks of paired cells are singular) and ``theta`` the ill-cut
-    flagging parameter.  Callers that build a cut mesh call it first,
-    next to ``check_degree``.
-    """
-    if not r >= 0:
+    for k in ks:
+        if not 0 <= k <= 3:
+            raise ConfigError(f"polynomial degree k must be in 0..3, got {k}")
+    for level in levels:
+        if not 0 <= level <= MAX_LEVEL:
+            raise ConfigError(f"mesh level must be in 0..{MAX_LEVEL}, got {level}")
+    if r is not None and not r >= 0:
         raise ConfigError(f"interface subdivision exponent r must be >= 0, got {r}")
-    if not (np.isfinite(eta) and eta > 0.0):
+    if eta is not None and not (np.isfinite(eta) and eta > 0.0):
         raise ConfigError(f"extension weight eta must be positive and finite, got {eta}")
-    if not (np.isfinite(theta) and theta >= 0.0):
-        raise ConfigError(f"flagging parameter theta must be finite and >= 0, got {theta}")
+    for theta in thetas:
+        if not (np.isfinite(theta) and theta >= 0.0):
+            raise ConfigError(f"flagging parameter theta must be finite and >= 0, got {theta}")
+    if kappa2 is not None and not (np.isfinite(kappa2) and kappa2 >= 1.0):
+        raise ConfigError(f"kappa2 must be finite and >= kappa1 = 1, got {kappa2}")
+    for name, circle in circles:
+        if not (circle.radius > 0.0 and interface_clear_of_boundary(circle)):
+            raise ConfigError(f"{name}: the circle of radius {circle.radius:.3f} "
+                              "must lie inside the unit square")
 
 
 def assemble(cm: CutMesh, k: int, kappa: tuple[float, float] = (1.0, 1.0),
@@ -253,7 +259,7 @@ def assemble(cm: CutMesh, k: int, kappa: tuple[float, float] = (1.0, 1.0),
     The two paths meet in ``A`` and ``b``: ``condense`` and ``solve_full``
     do not tell plain sub-cells from the others.
     """
-    check_degree(k)
+    check_inputs(ks=[k])
     if not kappa[0] <= kappa[1]:
         raise ConfigError("kappa1 <= kappa2 is required; relabel the sides")
     ops = LocalOperators(cm, k)
@@ -459,10 +465,9 @@ def condense(system: System) -> CondensedSystem:
     return CondensedSystem(system, schur, bmod[free_face] - y.T @ z, free_face, x, y, z)
 
 
-def solve(system: System, condensed: bool = True) -> np.ndarray:
-    if condensed:
-        return condense(system).solve()
-    return solve_full(system)
+def solve(system: System) -> np.ndarray:
+    """Solve by static condensation (``solve_full`` is the reference)."""
+    return condense(system).solve()
 
 
 # ----------------------------------------------------------------------

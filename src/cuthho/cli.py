@@ -8,23 +8,23 @@ Subcommands:
 * ``study theta``         convergence for several flagging parameters
 
 Exit codes: 0 on success, 2 for invalid configuration, 3 for geometric or
-numerical failures (the error message goes to stderr).
+numerical failures (the error message goes to stderr).  Invalid input,
+an output path in a missing directory included, exits 2 before any
+geometry is built.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from . import assembly, study
+from . import study
 from .cases import available_cases, make_case
 from .errors import ConfigError, CutHHOError
-from .geometry import build_cut_mesh
-from .mesh import build_mesh
 from .viz import dump_cuts
 
 
@@ -48,6 +48,13 @@ def _nonempty(values: list, text: str) -> list:
         raise argparse.ArgumentTypeError(
             f"no values in {text!r} (empty list or reversed range)")
     return values
+
+
+def _check_output_dirs(*paths: str | None) -> None:
+    """Reject an output path whose directory does not exist."""
+    for path in paths:
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ConfigError(f"no directory for output path {path!r}")
 
 
 def _emit(records, out: str | None) -> None:
@@ -87,8 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(ps)
     ps.add_argument("--cond", action="store_true",
                     help="also report the condition number")
-    ps.add_argument("--full-solve", action="store_true",
-                    help="skip static condensation")
     ps.add_argument("--dump-cuts", type=str, default=None,
                     help="write the cut topology (.svg or .csv)")
     ps.add_argument("--export-matrix", type=str, default=None,
@@ -107,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd = stsub.add_parser("conditioning", help="cut-position sweep")
     pd.add_argument("--interface", required=True, choices=["circle", "square"])
     pd.add_argument("--sweep", type=_int_list, required=True,
-                    help="circle: offsets i (radius 1/3+i/32); "
+                    help="circle: offsets i in -10..5 (radius 1/3+i/32); "
                          "square: exponents p (delta=0.5e-p)")
     pd.add_argument("--k", type=_int_list, default=[0, 1, 2, 3])
     pd.add_argument("--level", type=int, default=0)
@@ -126,10 +131,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args) -> None:
+    _check_output_dirs(args.dump_cuts, args.export_matrix)
     case = make_case(args.case, kappa2=args.kappa2)
     rec, system, _ = study.solve_single(
         case, args.k, args.level, r=args.r, theta=args.theta, eta=args.eta,
-        want_cond=args.cond, condensed=not args.full_solve,
+        want_cond=args.cond,
     )
     if args.dump_cuts:
         dump_cuts(system.cm, args.dump_cuts)
@@ -142,6 +148,7 @@ def _cmd_solve(args) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_output_dirs(args.out)
         if args.command == "solve":
             _cmd_solve(args)
         elif args.study_kind == "convergence":

@@ -63,19 +63,6 @@ def bisect_segments(p0: np.ndarray, p1: np.ndarray, levelset: LevelSet) -> np.nd
     return 0.5 * (a + b)
 
 
-def intersect_edge(p0, p1, levelset: LevelSet) -> np.ndarray:
-    """Root of the level set on the segment p0-p1.
-
-    Requires a strict sign change between the endpoints.
-    """
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    v = levelset.value(np.vstack([p0, p1]))
-    if not v[0] * v[1] < 0:
-        raise GeometryError("no sign change on edge")
-    return bisect_segments(p0[None, :], p1[None, :], levelset)[0]
-
-
 def project_onto_interface(points: np.ndarray, dirs: np.ndarray,
                            levelset: LevelSet, spans: np.ndarray) -> np.ndarray:
     """Move each point to the zero set along its direction.

@@ -7,11 +7,12 @@ The CSV schema is the single output contract:
 with empty fields where a column does not apply.  Rows are emitted in a
 stable sorted order and all numeric fields except the wall time are
 deterministic for identical inputs.
+Every entry point passes its inputs to ``assembly.check_inputs`` before
+it builds any geometry.
 """
 
 from __future__ import annotations
 
-import io
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -55,46 +56,39 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(records: list[RunRecord], target) -> None:
-    """Write records to a path or file object using the fixed schema."""
-    own = isinstance(target, (str, bytes))
-    fh = open(target, "w") if own else target
-    try:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for rec in records:
-            fh.write(",".join(_fmt(getattr(rec, c)) for c in CSV_COLUMNS) + "\n")
-    finally:
-        if own:
-            fh.close()
-
-
 def records_to_csv(records: list[RunRecord]) -> str:
-    buf = io.StringIO()
-    write_csv(records, buf)
-    return buf.getvalue()
+    """The records as CSV text in the fixed schema, header first."""
+    lines = [",".join(CSV_COLUMNS)]
+    lines += [",".join(_fmt(getattr(rec, c)) for c in CSV_COLUMNS) for rec in records]
+    return "".join(line + "\n" for line in lines)
+
+
+def write_csv(records: list[RunRecord], path: str) -> None:
+    """Write ``records_to_csv(records)`` to a file."""
+    with open(path, "w") as fh:
+        fh.write(records_to_csv(records))
 
 
 def solve_single(case: Case, k: int, level: int, r: int | None = None,
                  theta: float = 0.3, eta: float = 20.0,
-                 want_cond: bool = False, condensed: bool = True,
-                 check_case: bool = True):
-    """Run one solve; returns (record, system, solution)."""
-    assembly.check_degree(k)
+                 want_cond: bool = False, check_case: bool = True):
+    """Run one solve after ``check_inputs``; returns (record, system, solution)."""
     r_eff = case.default_r if r is None else r
-    assembly.check_options(r_eff, eta, theta)
+    assembly.check_inputs(ks=[k], levels=[level], r=r_eff, eta=eta, thetas=[theta],
+                          kappa2=case.kappa[1])
     if check_case:
         verify_case(case)
     t0 = time.perf_counter()
     mesh = build_mesh(level)
     cm = build_cut_mesh(mesh, case.levelset, theta=theta, r=r_eff)
-    return _solve_on(cm, case, k, level, r_eff, theta, eta, want_cond, condensed, t0)
+    return _solve_on(cm, case, k, level, r_eff, theta, eta, want_cond, t0)
 
 
 def _solve_on(cm, case: Case, k: int, level: int, r: int, theta: float,
-              eta: float, want_cond: bool, condensed: bool, t0: float):
+              eta: float, want_cond: bool, t0: float):
     """``solve_single`` on a built cut mesh; the wall time counts from t0."""
     system = assembly.assemble(cm, k, kappa=case.kappa, eta=eta, case=case)
-    x = assembly.solve(system, condensed=condensed)
+    x = assembly.solve(system)
     err = assembly.energy_error(system, x, case)
     cond = assembly.condition_number(system) if want_cond else None
     wall = time.perf_counter() - t0
@@ -106,25 +100,23 @@ def _solve_on(cm, case: Case, k: int, level: int, r: int, theta: float,
 
 def convergence_study(case_name: str, ks, levels, r: int | None = None,
                       theta: float = 0.3, eta: float = 20.0,
-                      kappa2: float | None = None,
-                      progress=None) -> list[RunRecord]:
+                      kappa2: float | None = None) -> list[RunRecord]:
     """Energy errors over mesh levels with observed rates per degree.
 
     The cut mesh does not depend on k, so it is built once per level and
     shared by every k still being solved there; its build time is charged
     to the first such k's ``wall_time_s``.  A k whose solve fails at a
     level keeps the rows solved before it and is not solved further.
-    Records come sorted by k, then level; ``progress`` sees them level by
-    level.  Repeated levels are solved once, and the rate between two
-    solved levels is per halving of h: log2(e_a / e_b) / (b - a).
+    Records come sorted by k, then level.  Repeated levels are solved
+    once, and the rate between two solved levels is per halving of h:
+    log2(e_a / e_b) / (b - a).  All inputs pass ``check_inputs`` (kappa2
+    in ``make_case``) before the first level is built.
     """
     case = make_case(case_name, kappa2=kappa2)
-    verify_case(case)
     ks = sorted(set(ks))
-    for k in ks:
-        assembly.check_degree(k)
     r_eff = case.default_r if r is None else r
-    assembly.check_options(r_eff, eta, theta)
+    assembly.check_inputs(ks=ks, levels=levels, r=r_eff, eta=eta, thetas=[theta])
+    verify_case(case)
     rows: dict[int, list[RunRecord]] = {k: [] for k in ks}
     active = list(ks)
     for level in sorted(set(levels)):
@@ -138,7 +130,7 @@ def convergence_study(case_name: str, ks, levels, r: int | None = None,
             for k in active:
                 try:
                     rec, _, _ = _solve_on(cm, case, k, level, r_eff, theta, eta,
-                                          False, True, t0)
+                                          False, t0)
                 except (GeometryError, NumericalError) as exc:
                     failed[k] = exc
                     continue
@@ -149,8 +141,6 @@ def convergence_study(case_name: str, ks, levels, r: int | None = None,
                     rate = np.log2(prev.energy_error / rec.energy_error) / (level - prev.level)
                     rec = replace(rec, rate=float(rate))
                 rows[k].append(rec)
-                if progress:
-                    progress(rec)
         for k, exc in failed.items():
             # partial reports: keep the rows solved so far for this k
             print(f"warning: {case.name} k={k} level={level} failed: {exc}",
@@ -161,57 +151,54 @@ def convergence_study(case_name: str, ks, levels, r: int | None = None,
 
 def conditioning_study(interface: str, sweep, ks, level: int = 0,
                        theta: float = 0.3, r: int = 8, eta: float = 20.0,
-                       kappa2: float = 1.0, progress=None) -> list[RunRecord]:
+                       kappa2: float = 1.0) -> list[RunRecord]:
     """Condition number of the reduced stiffness matrix along a sweep.
 
     ``interface='circle'`` interprets sweep values as integers i with
     radius 1/3 + i/32; ``interface='square'`` as exponents p with position
     delta = 0.5e-p.  Assembly uses zero data, only the matrix matters.
+    Each input and sweep circle passes ``check_inputs`` first: a circle
+    must lie inside the unit square, so i is in -10..5.
 
     The cut mesh does not depend on k, so it is built once per sweep
     point; its build time is charged to the first k's ``wall_time_s``.
     """
-    for k in ks:
-        assembly.check_degree(k)
-    assembly.check_options(r, eta, theta)
+    if interface == "circle":
+        points = [(f"circle[i={val}]", Circle((0.5, 0.5), 1.0 / 3.0 + float(val) / 32.0))
+                  for val in sweep]
+    elif interface == "square":
+        points = [(f"square[p={val}]", Square(delta=0.5 * 10.0 ** (-float(val))))
+                  for val in sweep]
+    else:
+        raise ConfigError("interface must be 'circle' or 'square'")
+    assembly.check_inputs(ks=ks, levels=[level], r=r, eta=eta, thetas=[theta],
+                          kappa2=kappa2, circles=points if interface == "circle" else ())
     records = []
     mesh = build_mesh(level)
-    for val in sweep:
-        if interface == "circle":
-            ls = Circle((0.5, 0.5), 1.0 / 3.0 + float(val) / 32.0)
-            name = f"circle[i={val}]"
-        elif interface == "square":
-            ls = Square(delta=0.5 * 10.0 ** (-float(val)))
-            name = f"square[p={val}]"
-        else:
-            raise ConfigError("interface must be 'circle' or 'square'")
+    for name, ls in points:
         t0 = time.perf_counter()
         cm = build_cut_mesh(mesh, ls, theta=theta, r=r)
         for k in sorted(ks):
             system = assembly.assemble(cm, k, kappa=(1.0, kappa2), eta=eta)
             cond = assembly.condition_number(system)
-            rec = RunRecord(name, k, level, r, theta, eta, kappa2,
-                            int(system.free.sum()), None, None, cond,
-                            time.perf_counter() - t0)
-            records.append(rec)
-            if progress:
-                progress(rec)
+            records.append(RunRecord(name, k, level, r, theta, eta, kappa2,
+                                     int(system.free.sum()), None, None, cond,
+                                     time.perf_counter() - t0))
             t0 = time.perf_counter()
     return records
 
 
 def theta_study(case_name: str, thetas, k: int, levels, r: int | None = None,
-                eta: float = 20.0, kappa2: float | None = None,
-                progress=None) -> list[RunRecord]:
-    """Convergence sweeps over the ill-cut flagging parameter; every theta
-    is checked before the first sweep builds any geometry."""
+                eta: float = 20.0, kappa2: float | None = None) -> list[RunRecord]:
+    """Convergence sweeps over the ill-cut flagging parameter; every input
+    passes ``check_inputs`` before the first sweep builds any geometry."""
     thetas = [float(theta) for theta in thetas]
-    for theta in thetas:
-        assembly.check_options(0 if r is None else r, eta, theta)
+    assembly.check_inputs(ks=[k], levels=levels, r=r, eta=eta, thetas=thetas,
+                          kappa2=kappa2)
     records = []
     for theta in thetas:
         records.extend(
             convergence_study(case_name, [k], levels, r=r, theta=theta,
-                              eta=eta, kappa2=kappa2, progress=progress)
+                              eta=eta, kappa2=kappa2)
         )
     return records

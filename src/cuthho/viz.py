@@ -13,7 +13,9 @@ _FILL = {
 }
 
 
-def dump_cuts_svg(cm: CutMesh, path: str, size: int = 800) -> None:
+def dump_cuts_svg(cm: CutMesh, path: str) -> None:
+    size = 800  # picture width and height in pixels
+
     def pt(x, y):
         return f"{x * size:.2f},{(1.0 - y) * size:.2f}"
 

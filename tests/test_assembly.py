@@ -60,9 +60,9 @@ def test_spd_after_dirichlet_elimination():
 
 def test_zero_rhs_gives_zero_solution():
     system = circle_system(k=1)  # case=None -> b = 0
-    x = solve(system, condensed=False)
+    x = solve_full(system)
     assert np.allclose(x, 0.0)
-    x = solve(system, condensed=True)
+    x = solve(system)
     assert np.allclose(x, 0.0)
 
 

@@ -87,6 +87,12 @@ def test_kappa_ordering_in_registry():
         make_case("contrast", kappa2=0.5)
 
 
+@pytest.mark.parametrize("name", ["patch-9", "patch--1"])
+def test_patch_degree_outside_0_to_3_rejected(name):
+    with pytest.raises(ConfigError, match="polynomial degree k must be in 0..3"):
+        make_case(name)
+
+
 def test_interface_clear_of_boundary():
     assert interface_clear_of_boundary(Circle((0.5, 0.5), 1 / 3))
     assert not interface_clear_of_boundary(Circle((0.5, 0.5), 0.6))
@@ -168,7 +174,7 @@ def test_convergence_builds_one_cut_mesh_per_level(monkeypatch):
         built.append(args[0].level)
         return build_cut_mesh(*args, **kwargs)
 
-    def quick_solve(cm, case, k, level, r, theta, eta, want_cond, condensed, t0):
+    def quick_solve(cm, case, k, level, r, theta, eta, want_cond, t0):
         rec = study.RunRecord(case.name, k, level, r, theta, eta, case.kappa[1],
                               len(cm.cells), 2.0 ** -level)
         return rec, None, None
@@ -189,7 +195,7 @@ def test_convergence_builds_one_cut_mesh_per_level(monkeypatch):
 
 def test_convergence_rate_is_per_halving_across_a_level_gap(monkeypatch):
     # errors 4^-level: two halvings from level 0 to 2 are rate 2, not 4
-    def quick_solve(cm, case, k, level, r, theta, eta, want_cond, condensed, t0):
+    def quick_solve(cm, case, k, level, r, theta, eta, want_cond, t0):
         rec = study.RunRecord(case.name, k, level, r, theta, eta, case.kappa[1],
                               1, 4.0 ** -level)
         return rec, None, None
@@ -368,14 +374,27 @@ def test_cli_rejects_empty_or_reversed_lists(argv, tmp_path, capsys):
      "kappa2 must be finite and >= kappa1 = 1"),
     (["study", "convergence", "--case", "contrast", "--levels", "0", "--kappa2", "0.5"],
      "kappa2 must be finite and >= kappa1 = 1"),
+    *[(["study", "conditioning", "--interface", "square", "--sweep", "2", "--kappa2", kappa2],
+       "kappa2 must be finite and >= kappa1 = 1") for kappa2 in ("inf", "nan", "0.5")],
+    (["study", "convergence", "--case", "sinsin", "--k", "1", "--levels", "0,1,11"],
+     "mesh level must be in 0..10, got 11"),
+    (["study", "theta", "--levels", "0,11"], "mesh level must be in 0..10, got 11"),
+    (["study", "conditioning", "--interface", "circle", "--sweep", "6"],
+     "circle[i=6]: the circle of radius 0.521 must lie inside the unit square"),
+    (["study", "conditioning", "--interface", "circle", "--sweep", "-11"],
+     "circle[i=-11]: the circle of radius -0.010 must lie inside the unit square"),
+    (["solve", "--case", "sinsin", "--k", "1", "--level", "1",
+      "--out", "{tmp}/missing/x.csv"], "no directory for output path"),
 ])
-def test_cli_bad_r_or_eta_rejected_before_geometry(argv, message, monkeypatch, capsys):
+def test_cli_bad_r_or_eta_rejected_before_geometry(argv, message, monkeypatch, capsys,
+                                                    tmp_path):
     def no_geometry(*args, **kwargs):
         raise AssertionError("cut mesh built before r and eta were checked")
 
     monkeypatch.setattr(study, "build_cut_mesh", no_geometry)
-    assert main(argv) == 2
+    assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -14,8 +14,8 @@ from cuthho.geometry import (
     CellCut,
     build_cut_mesh,
     build_pairing,
+    bisect_segments,
     build_polyline,
-    intersect_edge,
     project_onto_interface,
 )
 from cuthho.basis import monomial_exponents, space_dimension
@@ -29,25 +29,24 @@ CIRCLE = Circle((0.5, 0.5), 1.0 / 3.0)
 
 # -- edge intersection -------------------------------------------------
 
-def test_intersect_edge_line():
-    p = intersect_edge((0.4, 0.0), (0.6, 0.0), Line((0.5, 0.0)))
+def edge_root(p0, p1, levelset):
+    return bisect_segments(np.array([p0]), np.array([p1]), levelset)[0]
+
+
+def test_bisect_segments_line():
+    p = edge_root((0.4, 0.0), (0.6, 0.0), Line((0.5, 0.0)))
     assert np.allclose(p, [0.5, 0.0], atol=1e-13)
 
 
-def test_intersect_edge_circle():
-    p = intersect_edge((0.8, 0.5), (0.9, 0.5), CIRCLE)
+def test_bisect_segments_circle():
+    p = edge_root((0.8, 0.5), (0.9, 0.5), CIRCLE)
     assert p[0] == pytest.approx(0.5 + 1.0 / 3.0, abs=1e-13)
 
 
-def test_intersect_edge_flower_root_residual():
+def test_bisect_segments_flower_root_residual():
     fl = Flower()
-    p = intersect_edge((0.75, 0.5), (0.85, 0.5), fl)
+    p = edge_root((0.75, 0.5), (0.85, 0.5), fl)
     assert abs(fl.value(p[None, :])[0]) <= 1e-13
-
-
-def test_intersect_edge_requires_sign_change():
-    with pytest.raises(GeometryError, match="no sign change"):
-        intersect_edge((0.8, 0.5), (0.82, 0.5), CIRCLE)
 
 
 # -- polyline ----------------------------------------------------------
@@ -65,8 +64,8 @@ def test_polyline_r0_is_chord():
 
 
 def test_polyline_points_on_interface():
-    a = intersect_edge((0.8, 0.5), (0.9, 0.5), CIRCLE)
-    b = intersect_edge((0.8, 0.6), (0.8, 0.7), CIRCLE)
+    a = edge_root((0.8, 0.5), (0.9, 0.5), CIRCLE)
+    b = edge_root((0.8, 0.6), (0.8, 0.7), CIRCLE)
     pts = build_polyline(a[None, :], b[None, :], CIRCLE, r=6)[0]
     h = np.sqrt(2) * 0.1
     assert np.max(np.abs(CIRCLE.value(pts))) <= 1e-12 * h
