@@ -204,12 +204,13 @@ class System:
 
 
 def check_inputs(*, ks=(), levels=(), r: int | None = None, eta: float | None = None,
-                 thetas=(), kappa2: float | None = None, circles=()) -> None:
+                 thetas=(), kappa2: float | None = None, circles=(), squares=()) -> None:
     """The one statement of valid input: raise a ``ConfigError`` unless each
     degree k is in 0..3, each level in 0..MAX_LEVEL, r >= 0, eta positive
     and finite (eta <= 0 makes paired cells' blocks singular), each theta
-    finite and >= 0, kappa2 finite and >= kappa1 = 1, and each (name,
-    Circle) of positive radius with side 1 inside the unit square.
+    finite and >= 0, kappa2 finite and >= kappa1 = 1, each (name, Circle)
+    of positive radius with side 1 inside the unit square, and each square
+    sweep exponent p an integer >= 1, so its front 0.75 + 0.5 10^-p is too.
 
     Each entry point passes all of its inputs in one call before it builds
     any geometry; an input that is not passed is not checked.
@@ -233,6 +234,9 @@ def check_inputs(*, ks=(), levels=(), r: int | None = None, eta: float | None = 
         if not (circle.radius > 0.0 and interface_clear_of_boundary(circle)):
             raise ConfigError(f"{name}: the circle of radius {circle.radius:.3f} "
                               "must lie inside the unit square")
+    for p in squares:
+        if not (isinstance(p, (int, np.integer)) and p >= 1):
+            raise ConfigError(f"square[p={p}]: the exponent p must be an integer >= 1")
 
 
 def assemble(cm: CutMesh, k: int, kappa: tuple[float, float] = (1.0, 1.0),
@@ -262,7 +266,7 @@ def assemble(cm: CutMesh, k: int, kappa: tuple[float, float] = (1.0, 1.0),
     check_inputs(ks=[k])
     if not kappa[0] <= kappa[1]:
         raise ConfigError("kappa1 <= kappa2 is required; relabel the sides")
-    ops = LocalOperators(cm, k)
+    ops = LocalOperators(cm, k, case)
     layout = DofLayout.build(cm, k)
     plain = PlainCells.build(ops, layout, kappa)
     is_plain = _plain_mask(cm, plain)
@@ -278,8 +282,7 @@ def assemble(cm: CutMesh, k: int, kappa: tuple[float, float] = (1.0, 1.0),
         return idx
 
     kap = {1: kappa[0], 2: kappa[1]}
-    g_d = getattr(case, "g_D", None) if case is not None else None
-    g_n = getattr(case, "g_N", None) if case is not None else None
+    g_d, g_n = getattr(case, "g_D", None), getattr(case, "g_N", None)
 
     for cid, i in cm.sides():
         if is_plain[cid]:
@@ -292,19 +295,17 @@ def assemble(cm: CutMesh, k: int, kappa: tuple[float, float] = (1.0, 1.0),
             idx = scatter("ok", a, st)
             donors = cm.pairing.donors(cid, i)
             if i == 1 and g_d is not None and (cm.cells[cid].is_cut or donors):
-                lcoef = ops.lifting_coefficients(cid, g_d)
-                b[idx] -= kappa[0] * (bmat.T @ lcoef)
+                b[idx] -= kappa[0] * (bmat.T @ ops.lifting_coefficients(cid))
             for donor in donors:
                 scatter("pairing", *ops.stab_pairing(cid, i, donor, kap[i], eta))
         scatter("circ", *ops.stab_circ(cid, i, kap[i]))
         if case is not None:
-            loads.append((cell_idx, ops.load_volume(cid, i, case.f)))
+            loads.append((cell_idx, ops.load_volume(cid, i)))
         if i == 2 and cm.cells[cid].is_cut:  # after both volume loads
             scatter("gamma", *ops.stab_gamma(cid, kappa[0]))
-            if case is not None and (g_d is not None or g_n is not None):
-                r1, r2 = ops.load_interface(cid, kappa[0], g_d, g_n)
-                loads.append((layout.indices(("c", cid, 1)), r1))
-                loads.append((cell_idx, r2))
+            if g_d is not None or g_n is not None:
+                r1, r2 = ops.load_interface(cid, kappa[0])
+                loads += [(layout.indices(("c", cid, 1)), r1), (cell_idx, r2)]
     for idx, r in loads:
         b[idx] += r
 

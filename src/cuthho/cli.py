@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--interface", required=True, choices=["circle", "square"])
     pd.add_argument("--sweep", type=_int_list, required=True,
                     help="circle: offsets i in -10..5 (radius 1/3+i/32); "
-                         "square: exponents p (delta=0.5e-p)")
+                         "square: exponents p >= 1 (delta=0.5e-p)")
     pd.add_argument("--k", type=_int_list, default=[0, 1, 2, 3])
     pd.add_argument("--level", type=int, default=0)
     _add_common(pd)

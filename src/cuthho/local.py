@@ -28,18 +28,15 @@ Everything built here is kept for the lifetime of the operators, once
 per sub-cell or cut cell: the cell bases, whose transforms the first
 call builds for all sub-cells in one stack (every sub-cell that is not
 plain, and the first plain one, which all plain ones share); the
-interface quadrature of each cut cell, which donors' receivers read
-too; the volume rule of each cut sub-cell; and each sub-cell's volume
-tables, its quadrature with the values and gradients of its cell basis,
-which the operators and ``energy_error`` read.  ``assemble`` calls these
-operators only for the sub-cells that are not plain (see
-``CutMesh.is_plain``) and once for the reference element that stands for
-all plain ones.  A cut sub-cell's fan rule (a collapsed product rule on
-each triangle, 25 nodes each at k=3, so ~26k points at r=10) is
-compressed once to at most dim P_{2k+3} positive nodes with the same
-moments to degree 2k+3, and only the compressed rule is kept.  Every
-operator integrand has degree at most 2k+2, so the compression changes
-the operators by round-off only.
+compressed volume rule of each cut sub-cell (``volume_quadrature``);
+each sub-cell's volume tables, its quadrature with the values and
+gradients of its cell basis, which the operators and ``energy_error``
+read; and each cut cell's interface tables, the few products over its
+arc that the interface terms read, whose rule is not kept.  The load
+and lifting terms take their data from the case the operators are
+built with.  ``assemble`` calls these operators only for the sub-cells
+that are not plain (see ``CutMesh.is_plain``) and once for the
+reference element that stands for all plain ones.
 
 Dof blocks are addressed by keys ('c', cid, side) and ('f', fid, side);
 all operators are returned together with their ordered key stencils.
@@ -143,6 +140,16 @@ class VolumeTables:
 
 
 @dataclass
+class InterfaceTables:
+    """Products over a cut cell's interface arc (weights W, normal n); see interface_tables."""
+
+    jump: np.ndarray  # J^T W J, J = [psi1 | -psi2], (2 nc, 2 nc)
+    flux: np.ndarray  # q^T W n_d [psi1 | psi2], d = x then y, (2 ng, 2 nc)
+    lift: np.ndarray  # q^T W g_D n_d, d = x then y, (2 ng,); zero without g_D
+    loads: np.ndarray  # psi1^T W g_D, psi2^T W g_D, psi2^T W g_N, (3, nc); ditto
+
+
+@dataclass
 class Stencil:
     """Ordered dof blocks with their local column ranges."""
 
@@ -169,9 +176,10 @@ class Stencil:
 
 
 class LocalOperators:
-    def __init__(self, cutmesh: CutMesh, k: int):
+    def __init__(self, cutmesh: CutMesh, k: int, case=None):
         self.cm = cutmesh
         self.k = k
+        self.case = case
         self.nc = space_dimension(k + 1)  # cell polynomial block
         self.ng = space_dimension(k)  # scalar reconstruction space
         self.nf = k + 1  # face polynomial block
@@ -185,7 +193,7 @@ class LocalOperators:
         self._transforms: dict[tuple[int, int], np.ndarray] | None = None
         self._cut_rules: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._tables: dict[tuple[int, int], VolumeTables] = {}
-        self._iface: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._iface_tables: dict[int, InterfaceTables] = {}
 
     # -- geometry-backed ingredients ---------------------------------
 
@@ -267,9 +275,10 @@ class LocalOperators:
 
         An uncut sub-cell has the tensor Gauss rule of its square.  A cut
         sub-cell has its fan rule, the collapsed product rule on each of
-        its triangles, compressed once by ``compress_rule`` to at most
-        dim P_{2k+3} positive nodes with the same moments to degree
-        2k+3; the compressed rule is kept, the fan rule is not.
+        its triangles (~26k nodes at k=3, r=10), compressed once by
+        ``compress_rule`` to at most dim P_{2k+3} positive nodes with the
+        same moments to degree 2k+3; the compressed rule is kept, the fan
+        rule is not.  Operator integrands have degree at most 2k+2.
         """
         c = self.cm.cells[cid]
         if c.kind == UNCUT:
@@ -283,18 +292,39 @@ class LocalOperators:
 
     def interface_quadrature(self, cid: int):
         """Points, weights, and pointwise unit normals on the cell's polyline."""
-        hit = self._iface.get(cid)
-        if hit is None:
-            poly = self.cm.cells[cid].polyline
-            t, gw = self._gauss
-            p0, p1 = poly[:-1], poly[1:]
-            mid = 0.5 * (p0 + p1)
-            half = 0.5 * (p1 - p0)
-            pts = (mid[:, None, :] + t[None, :, None] * half[:, None, :]).reshape(-1, 2)
-            lengths = np.linalg.norm(p1 - p0, axis=1)
-            w = (0.5 * lengths[:, None] * gw[None, :]).ravel()
-            hit = self._iface[cid] = (pts, w, self.cm.levelset.normals(pts))
-        return hit
+        poly = self.cm.cells[cid].polyline
+        t, gw = self._gauss
+        p0, p1 = poly[:-1], poly[1:]
+        mid = 0.5 * (p0 + p1)
+        half = 0.5 * (p1 - p0)
+        pts = (mid[:, None, :] + t[None, :, None] * half[:, None, :]).reshape(-1, 2)
+        lengths = np.linalg.norm(p1 - p0, axis=1)
+        w = (0.5 * lengths[:, None] * gw[None, :]).ravel()
+        return pts, w, self.cm.levelset.normals(pts)
+
+    def interface_tables(self, cid: int) -> InterfaceTables:
+        """Integrals over cut cell cid's interface arc, built on the first
+        call and kept.  psi1, psi2 and q (the first dim P_k functions of
+        psi1, or on a side-1 donor its receiver's ``lower(k)``) are
+        evaluated once on the interface rule, which is not kept."""
+        t = self._iface_tables.get(cid)
+        if t is None:
+            pts, w, nrm = self.interface_quadrature(cid)
+            psi1 = self.cell_basis(cid, 1).eval(pts)
+            psi2 = self.cell_basis(cid, 2).eval(pts)
+            q = (self.cell_basis(self.cm.partner_of(cid), 1).lower(self.k).eval(pts)
+                 if self.cm.is_ko(cid, 1) else psi1[:, :self.ng])
+            g_d, g_n = getattr(self.case, "g_D", None), getattr(self.case, "g_N", None)
+            gd = g_d(pts) if g_d is not None else np.zeros(len(w))
+            gn = g_n(pts, nrm) if g_n is not None else np.zeros(len(w))
+            wn = [(w * nrm[:, d])[:, None] for d in (0, 1)]
+            jmp = np.hstack([psi1, -psi2])
+            t = self._iface_tables[cid] = InterfaceTables(
+                jmp.T @ (w[:, None] * jmp),
+                np.vstack([np.hstack([q.T @ (x * psi1), q.T @ (x * psi2)]) for x in wn]),
+                np.concatenate([q.T @ (w * gd * nrm[:, d]) for d in (0, 1)]),
+                np.stack([psi1.T @ (w * gd), psi2.T @ (w * gd), psi2.T @ (w * gn)]))
+        return t
 
     def face_rule(self, seg: np.ndarray):
         """Gauss points and weights of sub-face ``seg`` and the values there
@@ -357,15 +387,9 @@ class LocalOperators:
                     b[rows, ocols] -= phif.T @ (wn[:, None] * psi)
             # jump across the interface, only tested on side 1
             if i == 1 and cm.cells[owner].is_cut:
-                ipts, iw, inrm = self.interface_quadrature(owner)
-                psi1 = self.cell_basis(owner, 1).eval(ipts)
-                psi2 = self.cell_basis(owner, 2).eval(ipts)
-                phii = psi1[:, :ng] if owner == cid else basis_k.eval(ipts)
-                c2cols = st.cols(("c", owner, 2), nc)
-                for comp, rows in ((0, slice(0, ng)), (1, slice(ng, 2 * ng))):
-                    wn = iw * inrm[:, comp]
-                    b[rows, st.cols(("c", owner, 1), nc)] -= phii.T @ (wn[:, None] * psi1)
-                    b[rows, c2cols] += phii.T @ (wn[:, None] * psi2)
+                flux = self.interface_tables(owner).flux
+                b[:, st.cols(("c", owner, 1), nc)] -= flux[:, :nc]
+                b[:, st.cols(("c", owner, 2), nc)] += flux[:, nc:]
         return b, st
 
     def gradient_reconstruction(self, cid: int, i: int):
@@ -384,8 +408,7 @@ class LocalOperators:
         tk = basis.transform[: self.ng, : self.ng]
         d = np.vstack([solve_triangular(tk, dm @ basis.transform)
                        for dm in basis.mono.derivative_matrices()])
-        st = Stencil.build([(("c", cid, i), self.nc)])
-        return d, st
+        return d, Stencil.build([(("c", cid, i), self.nc)])
 
     def stiffness_ok(self, cid: int, i: int, kappa_i: float):
         """kappa_i (G, G)_Ti over the stencil, plus B and Ghat for reuse."""
@@ -428,13 +451,8 @@ class LocalOperators:
 
     def stab_gamma(self, cid: int, kappa1: float):
         """Interface jump penalty kappa1/h |v_T1 - v_T2|^2 on TG."""
-        nc = self.nc
-        st = Stencil.build([(("c", cid, 1), nc), (("c", cid, 2), nc)])
-        pts, w, _ = self.interface_quadrature(cid)
-        jmp = np.hstack([self.cell_basis(cid, 1).eval(pts),
-                         -self.cell_basis(cid, 2).eval(pts)])
-        a = (kappa1 / self.cm.mesh.h) * (jmp.T @ (w[:, None] * jmp))
-        return 0.5 * (a + a.T), st
+        a = (kappa1 / self.cm.mesh.h) * self.interface_tables(cid).jump
+        return 0.5 * (a + a.T), Stencil.build([(("c", cid, i), self.nc) for i in (1, 2)])
 
     def stab_pairing(self, cid: int, i: int, donor: int, kappa_i: float, eta: float):
         """Extension penalty eta kappa/h^2 |v_Si - v_Ti+|^2 over T^i."""
@@ -447,37 +465,20 @@ class LocalOperators:
 
     # -- data-dependent pieces ----------------------------------------
 
-    def lifting_coefficients(self, cid: int, g_d) -> np.ndarray:
-        """Coefficients of the lifting of interface data into P^k(T^1)^2."""
-        cm = self.cm
-        basis_k = self.cell_basis(cid, 1).lower(self.k)
+    def lifting_coefficients(self, cid: int) -> np.ndarray:
+        """Coefficients of the lifting of the case's g_D, if any, into P^k(T^1)^2."""
         lm = np.zeros(2 * self.ng)
-        for owner in [cid, *cm.pairing.donors(cid, 1)]:
-            if not cm.cells[owner].is_cut:
-                continue
-            pts, w, nrm = self.interface_quadrature(owner)
-            g = g_d(pts)
-            phi = basis_k.eval(pts)
-            lm[0 : self.ng] += phi.T @ (w * g * nrm[:, 0])
-            lm[self.ng :] += phi.T @ (w * g * nrm[:, 1])
+        for owner in [cid, *self.cm.pairing.donors(cid, 1)]:
+            if self.cm.cells[owner].is_cut:
+                lm += self.interface_tables(owner).lift
         return lm / self.volume_tables(cid, 1).w.sum()
 
-    def load_volume(self, cid: int, i: int, f) -> np.ndarray:
+    def load_volume(self, cid: int, i: int) -> np.ndarray:
         t = self.volume_tables(cid, i)
-        return t.ek1.T @ (t.w * f(i, t.pts))
+        return t.ek1.T @ (t.w * self.case.f(i, t.pts))
 
-    def load_interface(self, cid: int, kappa1: float, g_d, g_n):
+    def load_interface(self, cid: int, kappa1: float):
         """Interface data terms (g_N, w_T2) + kappa1/h (g_D, [w_T]) on TG."""
-        pts, w, nrm = self.interface_quadrature(cid)
-        psi1 = self.cell_basis(cid, 1).eval(pts)
-        psi2 = self.cell_basis(cid, 2).eval(pts)
-        r1 = np.zeros(self.nc)
-        r2 = np.zeros(self.nc)
-        if g_n is not None:
-            r2 += psi2.T @ (w * g_n(pts, nrm))
-        if g_d is not None:
-            gd = g_d(pts)
-            scal = kappa1 / self.cm.mesh.h
-            r1 += scal * (psi1.T @ (w * gd))
-            r2 -= scal * (psi2.T @ (w * gd))
-        return r1, r2
+        loads = self.interface_tables(cid).loads
+        scal = kappa1 / self.cm.mesh.h
+        return scal * loads[0], loads[2] - scal * loads[1]

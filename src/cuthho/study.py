@@ -157,22 +157,20 @@ def conditioning_study(interface: str, sweep, ks, level: int = 0,
     ``interface='circle'`` interprets sweep values as integers i with
     radius 1/3 + i/32; ``interface='square'`` as exponents p with position
     delta = 0.5e-p.  Assembly uses zero data, only the matrix matters.
-    Each input and sweep circle passes ``check_inputs`` first: a circle
-    must lie inside the unit square, so i is in -10..5.
+    Each input and sweep value passes ``check_inputs`` first: i in -10..5
+    and p >= 1 keep the interface inside the unit square.
 
     The cut mesh does not depend on k, so it is built once per sweep
     point; its build time is charged to the first k's ``wall_time_s``.
     """
-    if interface == "circle":
-        points = [(f"circle[i={val}]", Circle((0.5, 0.5), 1.0 / 3.0 + float(val) / 32.0))
-                  for val in sweep]
-    elif interface == "square":
-        points = [(f"square[p={val}]", Square(delta=0.5 * 10.0 ** (-float(val))))
-                  for val in sweep]
-    else:
+    if interface not in ("circle", "square"):
         raise ConfigError("interface must be 'circle' or 'square'")
-    assembly.check_inputs(ks=ks, levels=[level], r=r, eta=eta, thetas=[theta],
-                          kappa2=kappa2, circles=points if interface == "circle" else ())
+    circles = [(f"circle[i={val}]", Circle((0.5, 0.5), 1.0 / 3.0 + float(val) / 32.0))
+               for val in sweep] if interface == "circle" else []
+    assembly.check_inputs(ks=ks, levels=[level], r=r, eta=eta, thetas=[theta], kappa2=kappa2,
+                          circles=circles, squares=sweep if interface == "square" else ())
+    points = circles or [(f"square[p={val}]", Square(delta=0.5 * 10.0 ** (-float(val))))
+                         for val in sweep]
     records = []
     mesh = build_mesh(level)
     for name, ls in points:

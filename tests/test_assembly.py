@@ -17,6 +17,7 @@ from cuthho.assembly import (
     solve,
     solve_full,
 )
+from cuthho.basis import OrthonormalBasis
 from cuthho.cases import make_case, polynomial_case
 from cuthho.errors import ConfigError, NumericalError
 from cuthho.geometry import build_cut_mesh
@@ -376,7 +377,7 @@ def test_uncut_mesh_equals_fitted_hho(k):
 
 def per_cell_assembly(cm, k, case, eta=20.0):
     """Oracle: A and b with every sub-cell's terms taken one at a time."""
-    ops, layout = LocalOperators(cm, k), DofLayout.build(cm, k)
+    ops, layout = LocalOperators(cm, k, case), DofLayout.build(cm, k)
     kap = {1: case.kappa[0], 2: case.kappa[1]}
     blocks, b = [], np.zeros(layout.n_total)
     for cid, i in cm.sides():
@@ -388,15 +389,15 @@ def per_cell_assembly(cm, k, case, eta=20.0):
             blocks.append((a, st))
             donors = cm.pairing.donors(cid, i)
             if i == 1 and case.g_D is not None and (cm.cells[cid].is_cut or donors):
-                lift = ops.lifting_coefficients(cid, case.g_D)
+                lift = ops.lifting_coefficients(cid)
                 b[layout.stencil_indices(st)] -= kap[1] * (bmat.T @ lift)
             blocks += [ops.stab_pairing(cid, i, s, kap[i], eta) for s in donors]
         blocks.append(ops.stab_circ(cid, i, kap[i]))
-        b[cell] += ops.load_volume(cid, i, case.f)
+        b[cell] += ops.load_volume(cid, i)
         if i == 2 and cm.cells[cid].is_cut:
             blocks.append(ops.stab_gamma(cid, kap[1]))
             if case.g_D is not None or case.g_N is not None:
-                r1, r2 = ops.load_interface(cid, kap[1], case.g_D, case.g_N)
+                r1, r2 = ops.load_interface(cid, kap[1])
                 b[layout.indices(("c", cid, 1))] += r1
                 b[cell] += r2
     a_mat = sp.csr_matrix((layout.n_total, layout.n_total))
@@ -434,3 +435,54 @@ def test_reference_path_matches_per_cell_assembly(name, level, kappa2, k):
         diff = np.einsum("pcd,c->pd", t.dek1, coef) - case.grad_u(i, t.pts)
         total += case.kappa[i - 1] * float(t.w @ np.sum(diff * diff, axis=1))
     assert abs(energy_error(system, x, case) - np.sqrt(total)) <= 1e-12 * np.sqrt(total)
+
+
+# -- interface terms: one evaluation per cut cell ----------------------------
+
+def held_arrays(obj, seen):
+    """Every numpy array reachable from obj through dicts, sequences and
+    instance attributes, each container visited once."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+        return
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, dict):
+        items = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        items = obj
+    else:
+        items = getattr(obj, "__dict__", {}).values()
+    for value in items:
+        yield from held_arrays(value, seen)
+
+
+def test_interface_integrated_once_per_cut_cell(monkeypatch):
+    # jump-mixed has g_D and g_N, so every interface term is assembled
+    case = make_case("jump-mixed")
+    cm = build_cut_mesh(build_mesh(0), case.levelset, theta=0.3, r=4)
+    rules = [LocalOperators(cm, 1).interface_quadrature(cid)[0] for cid in cm.cut_cells()]
+    lengths = {len(pts) for pts in rules}
+    pairs = sum(cm.cells[s].is_cut for cid in range(len(cm.cells))
+                for s in cm.pairing.donors(cid, 1))
+    assert pairs > 0
+
+    evals = []
+    original = OrthonormalBasis.eval
+
+    def counted(self, pts):
+        if len(pts) in lengths and any(np.array_equal(pts, rule) for rule in rules):
+            evals.append(len(pts))
+        return original(self, pts)
+
+    monkeypatch.setattr(OrthonormalBasis, "eval", counted)
+    system = assemble(cm, 1, kappa=case.kappa, case=case)
+    energy_error(system, solve(system), case)
+    assert len(evals) <= 2 * len(rules) + pairs
+
+    ops = system.ops
+    for cid in cm.cut_cells():
+        assert ops.interface_tables(cid) is ops.interface_tables(cid)
+    held = held_arrays({k: v for k, v in vars(ops).items() if k not in ("cm", "case")}, set())
+    assert not [a.shape for a in held if a.ndim and a.shape[0] in lengths]

@@ -13,6 +13,7 @@ Every test that draws random data owns its generator, so a draw never
 depends on which tests ran before.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -270,22 +271,27 @@ def test_plain_gradient_matrix():
 
 # -- lifting -----------------------------------------------------------
 
+def with_data(**data):
+    """The ``sinsin`` case with its data closures replaced by ``data``."""
+    return replace(make_case("sinsin"), **data)
+
+
 def test_lifting_zero_data():
     cm = build_cut_mesh(build_mesh(0), CIRCLE, theta=0.3, r=4)
-    ops = LocalOperators(cm, 1)
+    ops = LocalOperators(cm, 1, with_data(g_D=lambda pts: np.zeros(len(pts))))
     cid = cm.cut_cells()[0]
-    l = ops.lifting_coefficients(cid, lambda pts: np.zeros(len(pts)))
+    l = ops.lifting_coefficients(cid)
     assert np.allclose(l, 0.0)
 
 
 def test_lifting_uncut_without_pairing_is_zero():
     cm = build_cut_mesh(build_mesh(0), CIRCLE, theta=0.3, r=4)
-    ops = LocalOperators(cm, 1)
+    ops = LocalOperators(cm, 1, with_data(g_D=lambda pts: np.ones(len(pts))))
     uncut_inside = [
         c.cid for c in cm.cells
         if c.kind == "uncut" and c.side == 1 and not cm.pairing.donors(c.cid, 1)
     ]
-    l = ops.lifting_coefficients(uncut_inside[0], lambda pts: np.ones(len(pts)))
+    l = ops.lifting_coefficients(uncut_inside[0])
     assert np.allclose(l, 0.0)
 
 
@@ -294,9 +300,9 @@ def test_lifting_constant_hand_computed():
     # (l, q) |T1| = (1, q . n)_TG with n = (1,0), so l = (|TG|/|T1|, 0)
     m = build_mesh(0)
     cm = build_cut_mesh(m, Line((0.37, 0.0)), theta=0.0, r=3)
-    ops = LocalOperators(cm, 0)
+    ops = LocalOperators(cm, 0, with_data(g_D=lambda pts: np.ones(len(pts))))
     cid = m.cell_id(3, 4)
-    l = ops.lifting_coefficients(cid, lambda pts: np.ones(len(pts)))
+    l = ops.lifting_coefficients(cid)
     assert l[0] == pytest.approx(0.1 / 0.007, rel=1e-12)
     assert abs(l[1]) <= 1e-12
 
@@ -449,29 +455,29 @@ def test_stab_pairing_values():
 
 def test_load_zero_data_is_zero():
     cm = build_cut_mesh(build_mesh(0), CIRCLE, theta=0.3, r=4)
-    ops = LocalOperators(cm, 1)
-    cid = cm.cut_cells()[0]
     zero = lambda i, pts: np.zeros(len(pts))
-    assert np.allclose(ops.load_volume(cid, 1, zero), 0.0)
-    r1, r2 = ops.load_interface(cid, 1.0, None, None)
+    ops = LocalOperators(cm, 1, with_data(f=zero, g_D=None, g_N=None))
+    cid = cm.cut_cells()[0]
+    assert np.allclose(ops.load_volume(cid, 1), 0.0)
+    r1, r2 = ops.load_interface(cid, 1.0)
     assert np.allclose(r1, 0.0) and np.allclose(r2, 0.0)
 
 
 def test_load_constant_source_k0():
     m = build_mesh(0)
     cm = build_cut_mesh(m, Circle((5.0, 5.0), 0.1), theta=0.3, r=2)
-    ops = LocalOperators(cm, 0)
     one = lambda i, pts: np.ones(len(pts))
-    load = ops.load_volume(7, 2, one)
+    ops = LocalOperators(cm, 0, with_data(f=one))
+    load = ops.load_volume(7, 2)
     assert load[0] == pytest.approx(m.cell_size**2, rel=1e-14)
 
 
 def test_neumann_data_only_touches_side2():
     cm = build_cut_mesh(build_mesh(0), CIRCLE, theta=0.3, r=4)
-    ops = LocalOperators(cm, 1)
-    cid = cm.cut_cells()[0]
     g_n = lambda pts, normals: np.ones(len(pts))
-    r1, r2 = ops.load_interface(cid, 1.0, None, g_n)
+    ops = LocalOperators(cm, 1, with_data(g_D=None, g_N=g_n))
+    cid = cm.cut_cells()[0]
+    r1, r2 = ops.load_interface(cid, 1.0)
     assert np.allclose(r1, 0.0)
     assert not np.allclose(r2, 0.0)
 
