@@ -146,13 +146,14 @@ class PlainCells:
                 pts = self.centers[sel][:, None, :] + self.offsets[None]
                 yield i, sel, pts.reshape(-1, 2)
 
-    def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """COO rows, columns and values of all plain sub-cells' blocks."""
+    def write_triplets(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
+        """Write the COO rows, columns and values of all plain sub-cells'
+        blocks, each block row by row, into three arrays of n ``a.size``."""
         dofs = np.hstack([self.cell_dofs, self.face_dofs])
-        width = dofs.shape[1]
-        return (np.repeat(dofs, width, axis=1).ravel(),
-                np.tile(dofs, (1, width)).ravel(),
-                (self.kappa[:, None] * self.a.ravel()[None, :]).ravel())
+        n, width = dofs.shape
+        rows.reshape(n, width, width)[:] = dofs[:, :, None]
+        cols.reshape(n, width, width)[:] = dofs[:, None, :]
+        np.multiply(self.kappa[:, None], self.a.ravel(), out=vals.reshape(n, width * width))
 
     def loads(self, f) -> np.ndarray:
         """Volume loads (w f, ek1) of every plain sub-cell, (n, nc)."""
@@ -256,9 +257,15 @@ def assemble(cm: CutMesh, k: int, kappa: tuple[float, float] = (1.0, 1.0),
     per-cell path.  One pass over them does each sub-cell's stiffness and
     lifting, the extension penalty of each donor, the face penalty and
     the volume load, and, once per cut cell, the interface penalty and
-    load.  Each kind of term keeps its own triplet list, and the loads
-    are added to ``b`` after the liftings, each cell's volume load before
-    its interface load.
+    load.  The loads are added to ``b`` after the liftings, each cell's
+    volume load before its interface load.
+
+    Every block is written, row by row, into one preallocated set of COO
+    triplets, counted before the pass: rows and columns as int32 (int64
+    only past 2^31 dofs) and float64 values.  The triplets are ordered by
+    kind of term (ok, ko, circ, gamma, pairing, then the plain sub-cells)
+    and by sub-cell within a kind.  That order fixes the order in which
+    the CSR conversion sums duplicates, and so ``A`` bit for bit.
 
     The two paths meet in ``A`` and ``b``: ``condense`` and ``solve_full``
     do not tell plain sub-cells from the others.
@@ -270,15 +277,38 @@ def assemble(cm: CutMesh, k: int, kappa: tuple[float, float] = (1.0, 1.0),
     layout = DofLayout.build(cm, k)
     plain = PlainCells.build(ops, layout, kappa)
     is_plain = _plain_mask(cm, plain)
-    terms: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {
-        name: [] for name in ("ok", "ko", "circ", "gamma", "pairing")
-    }
+    nc, nf = layout.nc, layout.nf
+    sizes = dict.fromkeys(("ok", "ko", "circ", "gamma", "pairing", "plain"), 0)
+    for cid, i in cm.sides():
+        if is_plain[cid]:
+            continue
+        if cm.is_ko(cid, i):
+            sizes["ko"] += nc**2
+        else:
+            sizes["ok"] += ops.reconstruction_stencil(cid, i).width ** 2
+            sizes["pairing"] += len(cm.pairing.donors(cid, i)) * (2 * nc) ** 2
+        sizes["circ"] += (nc + nf * len(cm.subfaces(cid, i))) ** 2
+        if i == 2 and cm.cells[cid].is_cut:
+            sizes["gamma"] += (2 * nc) ** 2
+    if plain is not None:
+        sizes["plain"] = len(plain.cids) * plain.a.size
+    ends = dict(zip(sizes, np.cumsum(list(sizes.values())).tolist()))
+    cursor = {term: ends[term] - size for term, size in sizes.items()}
+    index = np.int32 if layout.n_total <= np.iinfo(np.int32).max else np.int64
+    rows = np.empty(ends["plain"], dtype=index)
+    cols = np.empty(ends["plain"], dtype=index)
+    vals = np.empty(ends["plain"])
     b = np.zeros(layout.n_total)
     loads: list[tuple[np.ndarray, np.ndarray]] = []
 
     def scatter(term: str, a: np.ndarray, stencil) -> np.ndarray:
         idx = layout.stencil_indices(stencil)
-        terms[term].append((idx, a))
+        n = len(idx)
+        lo = cursor[term]
+        cursor[term] = hi = lo + n * n
+        rows[lo:hi].reshape(n, n)[:] = idx[:, None]
+        cols[lo:hi].reshape(n, n)[:] = idx
+        vals[lo:hi] = a.ravel()
         return idx
 
     kap = {1: kappa[0], 2: kappa[1]}
@@ -309,19 +339,14 @@ def assemble(cm: CutMesh, k: int, kappa: tuple[float, float] = (1.0, 1.0),
     for idx, r in loads:
         b[idx] += r
 
-    blocks = [blk for term in terms.values() for blk in term]
-    rows = [np.repeat(idx, len(idx)) for idx, _ in blocks]
-    cols = [np.tile(idx, len(idx)) for idx, _ in blocks]
-    vals = [a.ravel() for _, a in blocks]
     if plain is not None:
-        for out, part in zip((rows, cols, vals), plain.triplets()):
-            out.append(part)
+        lo = cursor["plain"]
+        plain.write_triplets(rows[lo:], cols[lo:], vals[lo:])
+        cursor["plain"] = ends["plain"]
         if case is not None:
             b[plain.cell_dofs] += plain.loads(case.f)
-    a_mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(layout.n_total, layout.n_total),
-    ).tocsr()
+    assert cursor == ends, "triplet counts do not match the blocks written"
+    a_mat = sp.coo_matrix((vals, (rows, cols)), shape=(layout.n_total, layout.n_total)).tocsr()
 
     g = np.zeros(layout.n_total)
     if case is not None:
@@ -346,9 +371,17 @@ def _project_on_face(ops: LocalOperators, fc, i: int, fn) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def _lu_factor(a: sp.csr_matrix) -> spla.SuperLU:
-    """Sparse LU factorization; an exactly singular matrix raises NumericalError."""
+    """Sparse LU factorization; an exactly singular matrix raises NumericalError.
+
+    Every matrix factored here (the Schur and the Dirichlet-reduced
+    matrices) is SPD, so its pattern is symmetric and it needs no pivoting
+    for stability.  The columns are therefore ordered by minimum degree on
+    the pattern of A^T + A, which for a symmetric pattern is that of A;
+    this fills about half as much as SuperLU's default COLAMD, which orders
+    for A^T A.  SuperLU's other options keep their defaults.
+    """
     try:
-        return spla.splu(a.tocsc())
+        return spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise NumericalError(f"singular matrix (n={a.shape[0]}): {exc}") from exc
 

@@ -10,10 +10,10 @@ the failing side.
 
 The polyline refinement is batched over cells: ``build_cut_mesh`` walks
 the boundary of every cut cell first, then refines the polylines of all
-of them together, one projection per refinement level and block of
-cells, and then triangulates and classifies the cells in cell order.
-A cell's polyline is bit for bit the one it would get alone, and the
-error reported is that of the first faulty cell in cell order.
+of them together, one projection per refinement level, and then
+triangulates and classifies the cells in cell order.  A cell's polyline
+is bit for bit the one it would get alone, and the error reported is
+that of the first faulty cell in cell order.
 
 Each background face is assumed to be crossed at most once and each cut
 cell to contain a single interface arc with two boundary crossings;
@@ -41,7 +41,6 @@ SNAP_REL = 1e-12  # endpoint snap, relative to the cell size
 GRID_M = 8  # per-cell sample grid for classification
 _BISECT_ITERS = 48
 _SCAN_STEPS = 16  # projection scan: 2 * _SCAN_STEPS + 1 samples per point
-_POLYLINE_BLOCK = 2**14  # finest-level midpoints per batched projection
 
 
 # ----------------------------------------------------------------------
@@ -68,26 +67,31 @@ def project_onto_interface(points: np.ndarray, dirs: np.ndarray,
     """Move each point to the zero set along its direction.
 
     Scans 2 * _SCAN_STEPS + 1 samples on [-span, span] per point for the
-    sign-change bracket nearest the origin, then bisects.  Points without a
-    nearby crossing are returned unchanged (they are already on a chord and
-    only lose geometric, not algebraic, accuracy).
+    sign-change bracket nearest the origin, the first of equal distances,
+    then bisects.  The scan evaluates one sample of every point per
+    level-set call and keeps only the nearest bracket so far, so its
+    memory grows with the number of points only.  Points without a nearby
+    crossing are returned unchanged (they are already on a chord and only
+    lose geometric, not algebraic, accuracy).
     """
     points = np.atleast_2d(points).astype(float)
-    m = len(points)
-    ts = spans[:, None] * np.linspace(-1.0, 1.0, 2 * _SCAN_STEPS + 1)[None, :]
-    probe = points[:, None, :] + ts[:, :, None] * dirs[:, None, :]
-    vals = levelset.value(probe.reshape(-1, 2)).reshape(ts.shape)
-    neg = np.signbit(vals)
-    change = neg[:, 1:] != neg[:, :-1]
-    mid_dist = np.abs(0.5 * (ts[:, 1:] + ts[:, :-1]))
-    mid_dist[~change] = np.inf
-    k = np.argmin(mid_dist, axis=1)
-    rows = np.arange(m)
-    has_root = np.isfinite(mid_dist[rows, k])
+    steps = np.linspace(-1.0, 1.0, 2 * _SCAN_STEPS + 1)
+    nearest = np.full(len(points), np.inf)
+    ta, tb, fa = np.zeros((3, len(points)))
+    t0 = spans * steps[0]
+    f0 = levelset.value(points + t0[:, None] * dirs)
+    for step in steps[1:]:
+        t1 = spans * step
+        f1 = levelset.value(points + t1[:, None] * dirs)
+        dist = np.abs(0.5 * (t1 + t0))
+        better = (np.signbit(f0) != np.signbit(f1)) & (dist < nearest)
+        nearest[better] = dist[better]
+        ta[better] = t0[better]
+        tb[better] = t1[better]
+        fa[better] = f0[better]
+        t0, f0 = t1, f1
+    has_root = np.isfinite(nearest)
 
-    ta = ts[rows, k]
-    tb = ts[rows, k + 1]
-    fa = vals[rows, k]
     for _ in range(_BISECT_ITERS):
         tm = 0.5 * (ta + tb)
         fm = levelset.value(points + tm[:, None] * dirs)
@@ -105,31 +109,24 @@ def build_polyline(a, b, levelset: LevelSet, r: int) -> np.ndarray:
     ``a`` and ``b`` hold m endpoint pairs, shape (m, 2); the result has
     shape (m, 2**r + 1, 2) and row j runs from a[j] to b[j].  The
     refinement is batched over the rows: each level projects the current
-    chord midpoints of a whole block of rows onto the zero set along the
-    level-set gradient in one ``project_onto_interface`` call.  A block
-    holds at most ``_POLYLINE_BLOCK`` midpoints at the finest level, which
-    bounds the memory of the projection's scan.  Every point's arithmetic
-    is elementwise, so a row does not depend on the others.
+    chord midpoints of all rows onto the zero set along the level-set
+    gradient in one ``project_onto_interface`` call.  Every point's
+    arithmetic is elementwise, so a row does not depend on the others.
     """
-    ends = np.stack([np.asarray(a, float), np.asarray(b, float)], axis=1)
-    out = np.empty((len(ends), 2**r + 1, 2))
-    rows = max(1, _POLYLINE_BLOCK >> max(r - 1, 0))
-    for lo in range(0, len(ends), rows):
-        pts = ends[lo:lo + rows]
-        m = len(pts)
-        for _ in range(r):
-            mids = (0.5 * (pts[:, :-1] + pts[:, 1:])).reshape(-1, 2)
-            spans = np.linalg.norm(pts[:, 1:] - pts[:, :-1], axis=2).ravel()
-            grad = levelset.gradient(mids)
-            norms = np.linalg.norm(grad, axis=1, keepdims=True)
-            dirs = np.divide(grad, np.maximum(norms, 1e-300))
-            proj = project_onto_interface(mids, dirs, levelset, spans)
-            finer = np.empty((m, 2 * pts.shape[1] - 1, 2))
-            finer[:, 0::2] = pts
-            finer[:, 1::2] = proj.reshape(m, pts.shape[1] - 1, 2)
-            pts = finer
-        out[lo:lo + m] = pts
-    return out
+    pts = np.stack([np.asarray(a, float), np.asarray(b, float)], axis=1)
+    m = len(pts)
+    for _ in range(r):
+        mids = (0.5 * (pts[:, :-1] + pts[:, 1:])).reshape(-1, 2)
+        spans = np.linalg.norm(pts[:, 1:] - pts[:, :-1], axis=2).ravel()
+        grad = levelset.gradient(mids)
+        norms = np.linalg.norm(grad, axis=1, keepdims=True)
+        dirs = np.divide(grad, np.maximum(norms, 1e-300))
+        proj = project_onto_interface(mids, dirs, levelset, spans)
+        finer = np.empty((m, 2 * pts.shape[1] - 1, 2))
+        finer[:, 0::2] = pts
+        finer[:, 1::2] = proj.reshape(m, pts.shape[1] - 1, 2)
+        pts = finer
+    return pts
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from cuthho import assembly, cli
 from cuthho.assembly import (
@@ -486,3 +488,74 @@ def test_interface_integrated_once_per_cut_cell(monkeypatch):
         assert ops.interface_tables(cid) is ops.interface_tables(cid)
     held = held_arrays({k: v for k, v in vars(ops).items() if k not in ("cm", "case")}, set())
     assert not [a.shape for a in held if a.ndim and a.shape[0] in lengths]
+
+
+# -- one compact triplet set and symmetric orderings --------------------------
+
+def kind_ordered_coo(system):
+    """Oracle: A as one COO sum of per-block int64 triplet lists, kind by
+    kind (ok, ko, circ, gamma, pairing, then the plain sub-cells) and by
+    sub-cell within a kind; also the number of triplets."""
+    cm, ops, layout, plain = system.cm, system.ops, system.layout, system.plain
+    kap = {1: system.kappa[0], 2: system.kappa[1]}
+    terms = {name: [] for name in ("ok", "ko", "circ", "gamma", "pairing")}
+    for cid, i in cm.sides():
+        if cid in plain.cids:
+            continue
+        if cm.is_ko(cid, i):
+            terms["ko"].append(ops.stiffness_ko(cid, i, kap[i]))
+        else:
+            a, _, _, st = ops.stiffness_ok(cid, i, kap[i])
+            terms["ok"].append((a, st))
+            terms["pairing"] += [ops.stab_pairing(cid, i, s, kap[i], system.eta)
+                                 for s in cm.pairing.donors(cid, i)]
+        terms["circ"].append(ops.stab_circ(cid, i, kap[i]))
+        if i == 2 and cm.cells[cid].is_cut:
+            terms["gamma"].append(ops.stab_gamma(cid, kap[1]))
+    rows, cols, vals = [], [], []
+    for a, st in (blk for blocks in terms.values() for blk in blocks):
+        idx = layout.stencil_indices(st)
+        rows.append(np.repeat(idx, len(idx)))
+        cols.append(np.tile(idx, len(idx)))
+        vals.append(a.ravel())
+    dofs = np.hstack([plain.cell_dofs, plain.face_dofs])
+    width = dofs.shape[1]
+    rows.append(np.repeat(dofs, width, axis=1).ravel())
+    cols.append(np.tile(dofs, (1, width)).ravel())
+    vals.append((plain.kappa[:, None] * plain.a.ravel()[None, :]).ravel())
+    vals = np.concatenate(vals)
+    coo = sp.coo_matrix((vals, (np.concatenate(rows), np.concatenate(cols))),
+                        shape=system.A.shape)
+    return coo.tocsr(), len(vals)
+
+
+@pytest.mark.parametrize("name,level,r", [("sinsin", 2, 8), ("jump-mixed", 0, 4)])
+def test_scatter_writes_one_compact_triplet_set(name, level, r):
+    # jump-mixed at level 0 has pairing, ill-cut cells and Dirichlet faces
+    case = make_case(name)
+    cm = build_cut_mesh(build_mesh(level), case.levelset, theta=0.3, r=r)
+    tracemalloc.start()
+    try:
+        system = assemble(cm, 1, kappa=case.kappa, case=case)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    oracle, n_triplets = kind_ordered_coo(system)
+    assert system.layout.dirichlet.any() and len(cm.pairing)
+    for a in (system.A, oracle):
+        a.sort_indices()
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(system.A, part), getattr(oracle, part)), part
+    # one int32/int32/float64 set is 16 bytes a triplet; int64 per-block
+    # lists and their concatenation took about 45
+    assert peak - held <= 32 * n_triplets
+
+
+def test_spd_factorizations_order_columns_symmetrically():
+    case = make_case("sinsin")
+    cm = build_cut_mesh(build_mesh(2), case.levelset, theta=0.3, r=8)
+    schur = condense(assemble(cm, 1, kappa=case.kappa, case=case)).schur
+    ordered = assembly._lu_factor(schur)
+    default = spla.splu(schur.tocsc())
+    assert (ordered.L.nnz + ordered.U.nnz
+            <= 0.6 * (default.L.nnz + default.U.nnz))

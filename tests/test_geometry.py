@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,13 +102,22 @@ def test_polyline_refinement_batched_over_cells(monkeypatch):
     n_cut = len(whole.cut_cells())
     assert calls == [n_cut * 2**j for j in range(8)]
 
-    # blocks of two cells: more projections, bit for bit the same polylines
-    calls.clear()
-    monkeypatch.setattr(geometry, "_POLYLINE_BLOCK", 2**8)
-    blocked = build_cut_mesh(m, Circle(), r=8)
-    assert len(calls) == 8 * -(-n_cut // 2)
-    for cid in whole.cut_cells():
-        assert np.array_equal(blocked.cells[cid].polyline, whole.cells[cid].polyline)
+    # so the projection's scan must not hold all 2 * 16 + 1 samples of
+    # every point at once: its memory grows only with the number of points
+    n = 20000
+    th = np.linspace(0.0, 2.0 * np.pi, n + 1)
+    ring = np.column_stack([0.5 + np.cos(th) / 3.0, 0.5 + np.sin(th) / 3.0])
+    mids = 0.5 * (ring[1:] + ring[:-1])
+    spans = np.linalg.norm(ring[1:] - ring[:-1], axis=1)
+    dirs = CIRCLE.normals(mids)
+    tracemalloc.start()
+    try:
+        proj = project_onto_interface(mids, dirs, CIRCLE, spans)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 8 * n
+    assert np.max(CIRCLE.distance_estimate(proj)) <= 1e-15
 
 
 @st.composite
