@@ -207,21 +207,29 @@ class System:
 def check_inputs(*, ks=(), levels=(), r: int | None = None, eta: float | None = None,
                  thetas=(), kappa2: float | None = None, circles=(), squares=()) -> None:
     """The one statement of valid input: raise a ``ConfigError`` unless each
-    degree k is in 0..3, each level in 0..MAX_LEVEL, r >= 0, eta positive
-    and finite (eta <= 0 makes paired cells' blocks singular), each theta
-    finite and >= 0, kappa2 finite and >= kappa1 = 1, each (name, Circle)
-    of positive radius with side 1 inside the unit square, and each square
-    sweep exponent p an integer >= 1, so its front 0.75 + 0.5 10^-p is too.
+    degree k is an integer in 0..3, each level an integer in 0..MAX_LEVEL,
+    r an integer >= 0, eta positive and finite (eta <= 0 makes paired
+    cells' blocks singular), each theta finite and >= 0, kappa2 finite and
+    >= kappa1 = 1, each (name, Circle) of positive radius with side 1
+    inside the unit square, and each square sweep exponent p an integer
+    >= 1, so its front 0.75 + 0.5 10^-p is too.
 
     Each entry point passes all of its inputs in one call before it builds
     any geometry; an input that is not passed is not checked.
     """
+    integer = (int, np.integer)
     for k in ks:
+        if not isinstance(k, integer):
+            raise ConfigError(f"polynomial degree k must be an integer, got {k!r}")
         if not 0 <= k <= 3:
             raise ConfigError(f"polynomial degree k must be in 0..3, got {k}")
     for level in levels:
+        if not isinstance(level, integer):
+            raise ConfigError(f"mesh level must be an integer, got {level!r}")
         if not 0 <= level <= MAX_LEVEL:
             raise ConfigError(f"mesh level must be in 0..{MAX_LEVEL}, got {level}")
+    if r is not None and not isinstance(r, integer):
+        raise ConfigError(f"interface subdivision exponent r must be an integer, got {r!r}")
     if r is not None and not r >= 0:
         raise ConfigError(f"interface subdivision exponent r must be >= 0, got {r}")
     if eta is not None and not (np.isfinite(eta) and eta > 0.0):
@@ -236,7 +244,7 @@ def check_inputs(*, ks=(), levels=(), r: int | None = None, eta: float | None = 
             raise ConfigError(f"{name}: the circle of radius {circle.radius:.3f} "
                               "must lie inside the unit square")
     for p in squares:
-        if not (isinstance(p, (int, np.integer)) and p >= 1):
+        if not (isinstance(p, integer) and p >= 1):
             raise ConfigError(f"square[p={p}]: the exponent p must be an integer >= 1")
 
 
@@ -254,18 +262,20 @@ def assemble(cm: CutMesh, k: int, kappa: tuple[float, float] = (1.0, 1.0),
     per side on their stacked quadrature points (see ``PlainCells``).
 
     Every other sub-cell (cut, failing or receiving donors) takes the
-    per-cell path.  One pass over them does each sub-cell's stiffness and
-    lifting, the extension penalty of each donor, the face penalty and
-    the volume load, and, once per cut cell, the interface penalty and
-    load.  The loads are added to ``b`` after the liftings, each cell's
-    volume load before its interface load.
+    per-cell path.  One pass over them sums each sub-cell's stiffness,
+    the extension penalty of each donor, the face penalty and, on side 1
+    of a cut cell, the interface penalty into one matrix on its
+    reconstruction stencil, and writes that block once.  The same pass
+    does each sub-cell's lifting and volume load and, once per cut cell,
+    the interface load.  The loads are added to ``b`` after the
+    liftings, each cell's volume loads before its interface load.
 
-    Every block is written, row by row, into one preallocated set of COO
-    triplets, counted before the pass: rows and columns as int32 (int64
-    only past 2^31 dofs) and float64 values.  The triplets are ordered by
-    kind of term (ok, ko, circ, gamma, pairing, then the plain sub-cells)
-    and by sub-cell within a kind.  That order fixes the order in which
-    the CSR conversion sums duplicates, and so ``A`` bit for bit.
+    The blocks are written, row by row, into one preallocated set of COO
+    triplets, sized by the stencils' widths: rows and columns as int32
+    (int64 only past 2^31 dofs) and float64 values.  The triplets are
+    ordered by sub-cell, then the plain sub-cells' blocks.  That order
+    fixes the order in which the CSR conversion sums duplicates, and so
+    ``A`` bit for bit.
 
     The two paths meet in ``A`` and ``b``: ``condense`` and ``solve_full``
     do not tell plain sub-cells from the others.
@@ -277,75 +287,52 @@ def assemble(cm: CutMesh, k: int, kappa: tuple[float, float] = (1.0, 1.0),
     layout = DofLayout.build(cm, k)
     plain = PlainCells.build(ops, layout, kappa)
     is_plain = _plain_mask(cm, plain)
-    nc, nf = layout.nc, layout.nf
-    sizes = dict.fromkeys(("ok", "ko", "circ", "gamma", "pairing", "plain"), 0)
-    for cid, i in cm.sides():
-        if is_plain[cid]:
-            continue
-        if cm.is_ko(cid, i):
-            sizes["ko"] += nc**2
-        else:
-            sizes["ok"] += ops.reconstruction_stencil(cid, i).width ** 2
-            sizes["pairing"] += len(cm.pairing.donors(cid, i)) * (2 * nc) ** 2
-        sizes["circ"] += (nc + nf * len(cm.subfaces(cid, i))) ** 2
-        if i == 2 and cm.cells[cid].is_cut:
-            sizes["gamma"] += (2 * nc) ** 2
-    if plain is not None:
-        sizes["plain"] = len(plain.cids) * plain.a.size
-    ends = dict(zip(sizes, np.cumsum(list(sizes.values())).tolist()))
-    cursor = {term: ends[term] - size for term, size in sizes.items()}
+    stencils = {(cid, i): ops.reconstruction_stencil(cid, i)
+                for cid, i in cm.sides() if not is_plain[cid]}
+    n = sum(st.width**2 for st in stencils.values())
+    n_plain = 0 if plain is None else len(plain.cids) * plain.a.size
     index = np.int32 if layout.n_total <= np.iinfo(np.int32).max else np.int64
-    rows = np.empty(ends["plain"], dtype=index)
-    cols = np.empty(ends["plain"], dtype=index)
-    vals = np.empty(ends["plain"])
+    rows = np.empty(n + n_plain, dtype=index)
+    cols = np.empty(n + n_plain, dtype=index)
+    vals = np.empty(n + n_plain)
     b = np.zeros(layout.n_total)
     loads: list[tuple[np.ndarray, np.ndarray]] = []
-
-    def scatter(term: str, a: np.ndarray, stencil) -> np.ndarray:
-        idx = layout.stencil_indices(stencil)
-        n = len(idx)
-        lo = cursor[term]
-        cursor[term] = hi = lo + n * n
-        rows[lo:hi].reshape(n, n)[:] = idx[:, None]
-        cols[lo:hi].reshape(n, n)[:] = idx
-        vals[lo:hi] = a.ravel()
-        return idx
-
     kap = {1: kappa[0], 2: kappa[1]}
     g_d, g_n = getattr(case, "g_D", None), getattr(case, "g_N", None)
 
-    for cid, i in cm.sides():
-        if is_plain[cid]:
-            continue
-        cell_idx = layout.indices(("c", cid, i))
+    hi = 0
+    for (cid, i), st in stencils.items():
+        idx = layout.stencil_indices(st)
         if cm.is_ko(cid, i):
-            scatter("ko", *ops.stiffness_ko(cid, i, kap[i]))
+            a = ops.stiffness_ko(cid, i, kap[i])[0]
         else:
-            a, _, bmat, st = ops.stiffness_ok(cid, i, kap[i])
-            idx = scatter("ok", a, st)
+            a, _, bmat, _ = ops.stiffness_ok(cid, i, kap[i])
             donors = cm.pairing.donors(cid, i)
             if i == 1 and g_d is not None and (cm.cells[cid].is_cut or donors):
                 b[idx] -= kappa[0] * (bmat.T @ ops.lifting_coefficients(cid))
             for donor in donors:
-                scatter("pairing", *ops.stab_pairing(cid, i, donor, kap[i], eta))
-        scatter("circ", *ops.stab_circ(cid, i, kap[i]))
+                a += ops.stab_pairing(cid, i, donor, kap[i], eta)[0]
+        a += ops.stab_circ(cid, i, kap[i])[0]
+        if i == 1 and cm.cells[cid].is_cut:
+            a += ops.stab_gamma(cid, kappa[0])[0]
+        lo, hi = hi, hi + len(idx) ** 2
+        rows[lo:hi].reshape(len(idx), -1)[:] = idx[:, None]
+        cols[lo:hi].reshape(len(idx), -1)[:] = idx
+        vals[lo:hi] = a.ravel()
+        cell_idx = layout.indices(("c", cid, i))
         if case is not None:
             loads.append((cell_idx, ops.load_volume(cid, i)))
-        if i == 2 and cm.cells[cid].is_cut:  # after both volume loads
-            scatter("gamma", *ops.stab_gamma(cid, kappa[0]))
-            if g_d is not None or g_n is not None:
-                r1, r2 = ops.load_interface(cid, kappa[0])
-                loads += [(layout.indices(("c", cid, 1)), r1), (cell_idx, r2)]
+        if i == 2 and cm.cells[cid].is_cut and (g_d is not None or g_n is not None):
+            r1, r2 = ops.load_interface(cid, kappa[0])  # after both volume loads
+            loads += [(layout.indices(("c", cid, 1)), r1), (cell_idx, r2)]
     for idx, r in loads:
         b[idx] += r
+    assert hi == n, "triplet count does not match the blocks written"
 
     if plain is not None:
-        lo = cursor["plain"]
-        plain.write_triplets(rows[lo:], cols[lo:], vals[lo:])
-        cursor["plain"] = ends["plain"]
+        plain.write_triplets(rows[n:], cols[n:], vals[n:])
         if case is not None:
             b[plain.cell_dofs] += plain.loads(case.f)
-    assert cursor == ends, "triplet counts do not match the blocks written"
     a_mat = sp.coo_matrix((vals, (rows, cols)), shape=(layout.n_total, layout.n_total)).tocsr()
 
     g = np.zeros(layout.n_total)

@@ -47,19 +47,24 @@ _SCAN_STEPS = 16  # projection scan: 2 * _SCAN_STEPS + 1 samples per point
 # root finding
 # ----------------------------------------------------------------------
 
-def bisect_segments(p0: np.ndarray, p1: np.ndarray, levelset: LevelSet) -> np.ndarray:
-    """Vectorized bisection roots on segments with a sign change."""
-    a = np.atleast_2d(p0).astype(float).copy()
-    b = np.atleast_2d(p1).astype(float).copy()
-    fa = levelset.value(a)
+def _bisect(a: np.ndarray, b: np.ndarray, fa: np.ndarray, value) -> np.ndarray:
+    """Midpoints of the brackets [a, b], one a row, after _BISECT_ITERS
+    halvings; ``fa`` holds the level-set values at ``a``, and ``value``
+    maps a stack of rows to theirs."""
     for _ in range(_BISECT_ITERS):
         m = 0.5 * (a + b)
-        fm = levelset.value(m)
+        fm = value(m)
         move_a = fa * fm > 0
-        a[move_a] = m[move_a]
-        fa[move_a] = fm[move_a]
-        b[~move_a] = m[~move_a]
+        a = np.where(move_a[:, None], m, a)
+        fa = np.where(move_a, fm, fa)
+        b = np.where(move_a[:, None], b, m)
     return 0.5 * (a + b)
+
+
+def bisect_segments(p0: np.ndarray, p1: np.ndarray, levelset: LevelSet) -> np.ndarray:
+    """Vectorized bisection roots on segments with a sign change."""
+    a = np.atleast_2d(p0).astype(float)
+    return _bisect(a, np.atleast_2d(p1).astype(float), levelset.value(a), levelset.value)
 
 
 def project_onto_interface(points: np.ndarray, dirs: np.ndarray,
@@ -92,15 +97,8 @@ def project_onto_interface(points: np.ndarray, dirs: np.ndarray,
         t0, f0 = t1, f1
     has_root = np.isfinite(nearest)
 
-    for _ in range(_BISECT_ITERS):
-        tm = 0.5 * (ta + tb)
-        fm = levelset.value(points + tm[:, None] * dirs)
-        move_a = fa * fm > 0
-        ta = np.where(move_a, tm, ta)
-        fa = np.where(move_a, fm, fa)
-        tb = np.where(move_a, tb, tm)
-    t = np.where(has_root, 0.5 * (ta + tb), 0.0)
-    return points + t[:, None] * dirs
+    t = _bisect(ta[:, None], tb[:, None], fa, lambda t: levelset.value(points + t * dirs))
+    return points + np.where(has_root[:, None], t, 0.0) * dirs
 
 
 def build_polyline(a, b, levelset: LevelSet, r: int) -> np.ndarray:

@@ -38,8 +38,13 @@ built with.  ``assemble`` calls these operators only for the sub-cells
 that are not plain (see ``CutMesh.is_plain``) and once for the
 reference element that stands for all plain ones.
 
-Dof blocks are addressed by keys ('c', cid, side) and ('f', fid, side);
-all operators are returned together with their ordered key stencils.
+Dof blocks are addressed by keys ('c', cid, side) and ('f', fid, side).
+Every operator of a sub-cell (T, i) is returned on its reconstruction
+stencil (``reconstruction_stencil``: its cell block, its sub-faces and,
+on a receiving side, its donors' blocks), zero outside its own columns;
+the interface penalty of a cut cell is on side 1's stencil, which holds
+both of its cell blocks.  So ``assemble`` sums a sub-cell's terms into
+one block.
 """
 
 from __future__ import annotations
@@ -421,7 +426,11 @@ class LocalOperators:
         t = self.volume_tables(cid, i)
         gx, gy = t.dek1[:, :, 0], t.dek1[:, :, 1]
         a = kappa_i * (gx.T @ (t.w[:, None] * gx) + gy.T @ (t.w[:, None] * gy))
-        return 0.5 * (a + a.T), Stencil.build([(("c", cid, i), self.nc)])
+        st = self.reconstruction_stencil(cid, i)
+        cols = st.cols(("c", cid, i), self.nc)
+        out = np.zeros((st.width, st.width))
+        out[cols, cols] = 0.5 * (a + a.T)
+        return out, st
 
     # -- stabilizations ------------------------------------------------
 
@@ -434,12 +443,9 @@ class LocalOperators:
         cm = self.cm
         nc, nf = self.nc, self.nf
         basis = self.cell_basis(cid, i)
-        ks = [(("c", cid, i), nc)]
-        faces = cm.subfaces(cid, i)
-        ks += [(("f", fid, i), nf) for fid, _, _ in faces]
-        st = Stencil.build(ks)
+        st = self.reconstruction_stencil(cid, i)
         a = np.zeros((st.width, st.width))
-        for fid, seg, _ in faces:
+        for fid, seg, _ in cm.subfaces(cid, i):
             fpts, fw, chi = self.face_rule(seg)
             rmat = np.zeros((nf, st.width))
             proj = chi.T @ (fw[:, None] * basis.eval(fpts)) / cm.mesh.h
@@ -452,16 +458,22 @@ class LocalOperators:
     def stab_gamma(self, cid: int, kappa1: float):
         """Interface jump penalty kappa1/h |v_T1 - v_T2|^2 on TG."""
         a = (kappa1 / self.cm.mesh.h) * self.interface_tables(cid).jump
-        return 0.5 * (a + a.T), Stencil.build([(("c", cid, i), self.nc) for i in (1, 2)])
+        st = self.reconstruction_stencil(cid, 1)
+        cols = np.r_[st.cols(("c", cid, 1), self.nc), st.cols(("c", cid, 2), self.nc)]
+        out = np.zeros((st.width, st.width))
+        out[np.ix_(cols, cols)] = 0.5 * (a + a.T)
+        return out, st
 
     def stab_pairing(self, cid: int, i: int, donor: int, kappa_i: float, eta: float):
         """Extension penalty eta kappa/h^2 |v_Si - v_Ti+|^2 over T^i."""
-        nc = self.nc
-        st = Stencil.build([(("c", donor, i), nc), (("c", cid, i), nc)])
         t = self.volume_tables(cid, i)
         diff = np.hstack([self.cell_basis(donor, i).eval(t.pts), -t.ek1])
         a = (eta * kappa_i / self.cm.mesh.h**2) * (diff.T @ (t.w[:, None] * diff))
-        return 0.5 * (a + a.T), st
+        st = self.reconstruction_stencil(cid, i)
+        cols = np.r_[st.cols(("c", donor, i), self.nc), st.cols(("c", cid, i), self.nc)]
+        out = np.zeros((st.width, st.width))
+        out[np.ix_(cols, cols)] = 0.5 * (a + a.T)
+        return out, st
 
     # -- data-dependent pieces ----------------------------------------
 

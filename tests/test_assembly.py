@@ -492,28 +492,36 @@ def test_interface_integrated_once_per_cut_cell(monkeypatch):
 
 # -- one compact triplet set and symmetric orderings --------------------------
 
-def kind_ordered_coo(system):
-    """Oracle: A as one COO sum of per-block int64 triplet lists, kind by
-    kind (ok, ko, circ, gamma, pairing, then the plain sub-cells) and by
-    sub-cell within a kind; also the number of triplets."""
+def sub_cell_ordered_coo(system):
+    """Oracle: A as one COO sum of per-block int64 triplet lists, one block
+    per sub-cell that is not plain (its stiffness, each donor's extension
+    penalty, the face penalty and, on side 1 of a cut cell, the interface
+    penalty, summed in that order), then the plain sub-cells; also the
+    number of triplets and the number a block per term would take."""
     cm, ops, layout, plain = system.cm, system.ops, system.layout, system.plain
+    nc, nf = layout.nc, layout.nf
     kap = {1: system.kappa[0], 2: system.kappa[1]}
-    terms = {name: [] for name in ("ok", "ko", "circ", "gamma", "pairing")}
+    blocks, per_term = [], 0
     for cid, i in cm.sides():
         if cid in plain.cids:
             continue
+        donors = cm.pairing.donors(cid, i)
         if cm.is_ko(cid, i):
-            terms["ko"].append(ops.stiffness_ko(cid, i, kap[i]))
+            a, st = ops.stiffness_ko(cid, i, kap[i])
+            per_term += nc**2
         else:
             a, _, _, st = ops.stiffness_ok(cid, i, kap[i])
-            terms["ok"].append((a, st))
-            terms["pairing"] += [ops.stab_pairing(cid, i, s, kap[i], system.eta)
-                                 for s in cm.pairing.donors(cid, i)]
-        terms["circ"].append(ops.stab_circ(cid, i, kap[i]))
-        if i == 2 and cm.cells[cid].is_cut:
-            terms["gamma"].append(ops.stab_gamma(cid, kap[1]))
+            per_term += st.width**2 + len(donors) * (2 * nc) ** 2
+        for s in donors:
+            a = a + ops.stab_pairing(cid, i, s, kap[i], system.eta)[0]
+        a = a + ops.stab_circ(cid, i, kap[i])[0]
+        per_term += (nc + nf * len(cm.subfaces(cid, i))) ** 2
+        if i == 1 and cm.cells[cid].is_cut:
+            a = a + ops.stab_gamma(cid, kap[1])[0]
+            per_term += (2 * nc) ** 2
+        blocks.append((a, st))
     rows, cols, vals = [], [], []
-    for a, st in (blk for blocks in terms.values() for blk in blocks):
+    for a, st in blocks:
         idx = layout.stencil_indices(st)
         rows.append(np.repeat(idx, len(idx)))
         cols.append(np.tile(idx, len(idx)))
@@ -526,29 +534,64 @@ def kind_ordered_coo(system):
     vals = np.concatenate(vals)
     coo = sp.coo_matrix((vals, (np.concatenate(rows), np.concatenate(cols))),
                         shape=system.A.shape)
-    return coo.tocsr(), len(vals)
+    return coo.tocsr(), len(vals), per_term + len(plain.cids) * plain.a.size
 
 
 @pytest.mark.parametrize("name,level,r", [("sinsin", 2, 8), ("jump-mixed", 0, 4)])
-def test_scatter_writes_one_compact_triplet_set(name, level, r):
+def test_scatter_writes_one_compact_triplet_set(name, level, r, monkeypatch):
     # jump-mixed at level 0 has pairing, ill-cut cells and Dirichlet faces
     case = make_case(name)
     cm = build_cut_mesh(build_mesh(level), case.levelset, theta=0.3, r=r)
+    written = []
+    coo_matrix = sp.coo_matrix
+
+    def counted(arg, **kwargs):
+        written.append(len(arg[0]))
+        return coo_matrix(arg, **kwargs)
+
+    monkeypatch.setattr(sp, "coo_matrix", counted)
     tracemalloc.start()
     try:
         system = assemble(cm, 1, kappa=case.kappa, case=case)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    oracle, n_triplets = kind_ordered_coo(system)
+    monkeypatch.undo()
+    oracle, n_triplets, per_term = sub_cell_ordered_coo(system)
     assert system.layout.dirichlet.any() and len(cm.pairing)
     for a in (system.A, oracle):
         a.sort_indices()
     for part in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(system.A, part), getattr(oracle, part)), part
+    # one block per sub-cell on its reconstruction stencil, then the plain blocks
+    plain = system.plain
+    widths = [system.ops.reconstruction_stencil(cid, i).width for cid, i in cm.sides()
+              if cid not in plain.cids]
+    assert written == [n_triplets] == [sum(w * w for w in widths) + plain.a.size * len(plain.cids)]
+    assert n_triplets <= 0.9 * per_term
     # one int32/int32/float64 set is 16 bytes a triplet; int64 per-block
     # lists and their concatenation took about 45
     assert peak - held <= 32 * n_triplets
+
+
+def test_every_sub_cell_operator_is_on_its_reconstruction_stencil():
+    # jump-mixed at level 0: cut and failing sides, donors and Dirichlet faces
+    case = make_case("jump-mixed")
+    cm = build_cut_mesh(build_mesh(0), case.levelset, theta=0.3, r=4)
+    ops = LocalOperators(cm, 1, case)
+    layout = DofLayout.build(cm, 1)
+    assert cm.ko_sides() and len(cm.pairing) and cm.cut_cells() and layout.dirichlet.any()
+    for cid, i in cm.sides():
+        keys = ops.reconstruction_stencil(cid, i).keys
+        if cm.is_ko(cid, i):
+            got = [ops.stiffness_ko(cid, i, 1.0)[1]]
+        else:
+            got = [ops.stiffness_ok(cid, i, 1.0)[3]]
+            got += [ops.stab_pairing(cid, i, s, 1.0, 20.0)[1] for s in cm.pairing.donors(cid, i)]
+        got.append(ops.stab_circ(cid, i, 1.0)[1])
+        if i == 1 and cm.cells[cid].is_cut:
+            got.append(ops.stab_gamma(cid, 1.0)[1])
+        assert all(st.keys == keys for st in got), (cid, i)
 
 
 def test_spd_factorizations_order_columns_symmetrically():

@@ -410,3 +410,27 @@ def test_cli_bad_degree_rejected_before_geometry(argv, monkeypatch, capsys):
     monkeypatch.setattr(study, "build_cut_mesh", no_geometry)
     assert main(argv) == 2
     assert "polynomial degree k must be in 0..3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("run,args,kwargs,message", [
+    (solve_single, (make_case("sinsin"), 1, 1.5), {}, "mesh level must be an integer, got 1.5"),
+    (solve_single, (make_case("sinsin"), 1.5, 0), {},
+     "polynomial degree k must be an integer, got 1.5"),
+    (solve_single, (make_case("sinsin"), 1, 0), {"r": 2.5},
+     "interface subdivision exponent r must be an integer, got 2.5"),
+    (convergence_study, ("sinsin", [1.0], [0]), {},
+     "polynomial degree k must be an integer, got 1.0"),
+    (conditioning_study, ("circle", [0], [1]), {"level": 0.5},
+     "mesh level must be an integer, got 0.5"),
+    (study.theta_study, ("sinsin", [0.3], 1, [0]), {"r": 4.0},
+     "interface subdivision exponent r must be an integer, got 4.0"),
+], ids=["solve-level", "solve-k", "solve-r", "convergence-k", "conditioning-level", "theta-r"])
+def test_api_non_integer_k_level_or_r_rejected_before_geometry(run, args, kwargs, message,
+                                                                monkeypatch):
+    def no_geometry(*args, **kwargs):
+        raise AssertionError("cut mesh built before k, level and r were checked")
+
+    monkeypatch.setattr(study, "build_cut_mesh", no_geometry)
+    with pytest.raises(ConfigError) as exc:
+        run(*args, **kwargs)
+    assert message in str(exc.value)
