@@ -51,34 +51,16 @@ class CellBasis:
     def dim(self) -> int:
         return space_dimension(self.degree)
 
-    def _power_tables(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pts = np.atleast_2d(pts)
-        xi = (pts[:, 0] - self.center[0]) / self.scale
-        eta = (pts[:, 1] - self.center[1]) / self.scale
-        deg = self.degree
-        px = np.empty((len(pts), deg + 1))
-        py = np.empty((len(pts), deg + 1))
-        px[:, 0] = 1.0
-        py[:, 0] = 1.0
-        for d in range(1, deg + 1):
-            px[:, d] = px[:, d - 1] * xi
-            py[:, d] = py[:, d - 1] * eta
-        return px, py
+    def scaled(self, pts: np.ndarray) -> np.ndarray:
+        """Points as (x - center) / scale, the monomials' coordinates."""
+        return (np.atleast_2d(pts) - self.center) / self.scale
 
     def eval(self, pts: np.ndarray) -> np.ndarray:
-        px, py = self._power_tables(pts)
-        return px[:, self.exps[:, 0]] * py[:, self.exps[:, 1]]
+        return monomial_values(self.scaled(pts), self.degree)
 
     def grad(self, pts: np.ndarray) -> np.ndarray:
         """Gradients, shape (npts, dim, 2)."""
-        px, py = self._power_tables(pts)
-        a = self.exps[:, 0]
-        b = self.exps[:, 1]
-        pa = np.where(a > 0, a - 1, 0)
-        pb = np.where(b > 0, b - 1, 0)
-        gx = a[None, :] * px[:, pa] * py[:, b]
-        gy = b[None, :] * px[:, a] * py[:, pb]
-        return np.stack([gx, gy], axis=2) / self.scale
+        return monomial_gradients(self.scaled(pts), self.degree, self.scale)
 
     def lower(self, degree: int) -> "CellBasis":
         """Same center and scale at another degree."""
@@ -115,12 +97,64 @@ class OrthonormalBasis:
 
     def grad(self, pts: np.ndarray) -> np.ndarray:
         """Gradients, shape (npts, dim, 2)."""
-        return np.tensordot(self.mono.grad(pts), self.transform, axes=(1, 0)).swapaxes(1, 2)
+        return transform_gradients(self.mono.grad(pts)[None], self.transform[None])[0]
 
     def lower(self, degree: int) -> "OrthonormalBasis":
         """The first dim P_degree functions: the transform's leading block."""
         n = space_dimension(degree)
         return OrthonormalBasis(self.mono.lower(degree), self.transform[:n, :n])
+
+
+def _power_tables(xi: np.ndarray, degree: int) -> np.ndarray:
+    """Powers 0..degree of scaled coordinates xi (..., 2), coordinate and
+    power first: (2, degree + 1, ...)."""
+    pw = np.empty((2, degree + 1, *xi.shape[:-1]))
+    pw[:, 0] = 1.0
+    if degree:
+        pw[:, 1] = xi.transpose(-1, *range(xi.ndim - 1))
+    for d in range(2, degree + 1):
+        np.multiply(pw[:, d - 1], pw[:, 1], out=pw[:, d])
+    return pw
+
+
+def monomial_values(xi: np.ndarray, degree: int) -> np.ndarray:
+    """The monomials of ``CellBasis`` at scaled coordinates xi (..., 2),
+    (x - center) / scale: (..., dim).  A stack of bases passes the stack of
+    each one's scaled points.  The products are formed a degree at a time
+    along the points, which is several times quicker than gathering the
+    powers per monomial."""
+    px, py = _power_tables(xi, degree)
+    out = np.empty((space_dimension(degree), *xi.shape[:-1]))
+    off = 0
+    for d in range(degree + 1):  # x^(d-b) y^b, b = 0..d
+        np.multiply(px[d::-1], py[: d + 1], out=out[off : off + d + 1])
+        off += d + 1
+    return np.ascontiguousarray(out.transpose(*range(1, out.ndim), 0))
+
+
+def monomial_gradients(xi: np.ndarray, degree: int, scale) -> np.ndarray:
+    """Gradients of the monomials, as ``monomial_values``: (..., dim, 2);
+    ``scale`` broadcasts against them."""
+    px, py = _power_tables(xi, degree)
+    a, b = monomial_exponents(degree).T
+    pa, pb = np.maximum(a - 1, 0), np.maximum(b - 1, 0)
+    shape = (-1,) + (1,) * (xi.ndim - 1)  # exponents along the monomial axis
+    g = np.stack([a.reshape(shape) * px[pa] * py[b], b.reshape(shape) * px[a] * py[pb]],
+                 axis=-1)
+    return np.divide(np.moveaxis(g, 0, -2), scale, order="C")
+
+
+def transform_gradients(g: np.ndarray, transforms: np.ndarray) -> np.ndarray:
+    """Gradients (n, p, dim, 2) of a stack of bases, mono @ transform, from
+    those of their monomials and the upper-triangular transforms (n, dim, dim).
+
+    Each entry is summed one monomial at a time in a fixed order, so it has
+    the same bits in a stack of any size.
+    """
+    out = g[:, :, :1] * transforms[:, None, 0, :, None]
+    for a in range(1, g.shape[2]):
+        out[:, :, a:] += g[:, :, a:a + 1] * transforms[:, None, a, a:, None]
+    return out
 
 
 # -- small dense-polynomial helpers (coefficient dicts on global x, y) ----

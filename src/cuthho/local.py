@@ -31,12 +31,18 @@ plain, and the first plain one, which all plain ones share); the
 compressed volume rule of each cut sub-cell (``volume_quadrature``);
 each sub-cell's volume tables, its quadrature with the values and
 gradients of its cell basis, which the operators and ``energy_error``
-read; and each cut cell's interface tables, the few products over its
-arc that the interface terms read, whose rule is not kept.  The load
-and lifting terms take their data from the case the operators are
-built with.  ``assemble`` calls these operators only for the sub-cells
-that are not plain (see ``CutMesh.is_plain``) and once for the
-reference element that stands for all plain ones.
+read; each sub-cell's face tables, the projection and flux products of
+its sub-faces (and on a receiving side of its donors' sub-faces) that
+``gradient_rhs`` and ``stab_circ`` read, whose face rules are not kept;
+and each cut cell's interface tables, the few products over its arc
+that the interface terms read, whose rule is not kept.  The volume and
+face tables of the sub-cells that share the transforms' stack are built
+in one stack too, on the first call; any other sub-cell's are built
+alone when asked for.  The load and lifting terms take their data from
+the case the operators are built with.  ``assemble`` calls these
+operators only for the sub-cells that are not plain (see
+``CutMesh.is_plain``) and once for the reference element that stands
+for all plain ones.
 
 Dof blocks are addressed by keys ('c', cid, side) and ('f', fid, side).
 Every operator of a sub-cell (T, i) is returned on its reconstruction
@@ -50,12 +56,20 @@ one block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import legvander
 from scipy.linalg import solve_triangular
 
-from .basis import CellBasis, OrthonormalBasis, space_dimension
+from .basis import (
+    CellBasis,
+    OrthonormalBasis,
+    monomial_gradients,
+    monomial_values,
+    space_dimension,
+    transform_gradients,
+)
 from .errors import NumericalError
 from .geometry import UNCUT, CutMesh
 from .quadrature import (
@@ -64,7 +78,7 @@ from .quadrature import (
     gauss_1d,
     map_to_triangles,
     points_for_degree,
-    segment_rule,
+    segment_rules,
     triangle_rule,
 )
 
@@ -134,6 +148,23 @@ def orthonormal_basis(e: np.ndarray, w: np.ndarray, names) -> np.ndarray:
     return transform
 
 
+def _padded(rules) -> tuple[np.ndarray, np.ndarray]:
+    """A stack of rules (points, weights) as points (n, p, 2) and weights
+    (n, p), each padded to the longest with zero weights at the origin."""
+    pts = np.zeros((len(rules), max(len(w) for _, w in rules), 2))
+    w = np.zeros(pts.shape[:2])
+    for j, (pj, wj) in enumerate(rules):
+        pts[j, :len(wj)] = pj
+        w[j, :len(wj)] = wj
+    return pts, w
+
+
+def _scaled(monos: list[CellBasis], pts: np.ndarray) -> np.ndarray:
+    """A stack of points (n, p, 2), each scaled as ``monos[j].scaled``."""
+    centers = np.array([m.center for m in monos])
+    return (pts - centers[:, None]) / np.array([m.scale for m in monos])[:, None, None]
+
+
 @dataclass
 class VolumeTables:
     """Volume quadrature of one sub-cell with its basis evaluations."""
@@ -152,6 +183,17 @@ class InterfaceTables:
     flux: np.ndarray  # q^T W n_d [psi1 | psi2], d = x then y, (2 ng, 2 nc)
     lift: np.ndarray  # q^T W g_D n_d, d = x then y, (2 ng,); zero without g_D
     loads: np.ndarray  # psi1^T W g_D, psi2^T W g_D, psi2^T W g_N, (3, nc); ditto
+
+
+@dataclass
+class FaceTables:
+    """Products over the sub-faces of one sub-cell, then over those of each
+    of its donors (weights W, outward normal n); see face_tables."""
+
+    owners: list[int]  # cell of each sub-face: the sub-cell's own, then its donors'
+    fids: list[int]
+    proj: np.ndarray  # P = chi^T W psi / h on the own sub-faces, (n_own, nf, nc)
+    flux: np.ndarray  # q^T W n_d [chi | psi], d = x then y, (n, 2 ng, nf + nc)
 
 
 @dataclass
@@ -199,6 +241,8 @@ class LocalOperators:
         self._cut_rules: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._tables: dict[tuple[int, int], VolumeTables] = {}
         self._iface_tables: dict[int, InterfaceTables] = {}
+        self._face_tables: dict[tuple[int, int], FaceTables] = {}
+        self._stencils: dict[tuple[int, int], Stencil] = {}
 
     # -- geometry-backed ingredients ---------------------------------
 
@@ -218,10 +262,7 @@ class LocalOperators:
         """
         if self._transforms is None:
             cm = self.cm
-            sides = cm.sides()
-            is_plain = [cm.is_plain(*key) for key in sides]
-            plain = [key for key, p in zip(sides, is_plain) if p]
-            keys = [key for key, p in zip(sides, is_plain) if not p] + plain[:1]
+            keys, plain = self._stacked_sides
             rules = []
             for c, side in keys:
                 pts, w = self.volume_quadrature(c, side)
@@ -229,11 +270,9 @@ class LocalOperators:
                     tp, tw = self.volume_quadrature(cm.partner_of(c), side)
                     pts, w = np.vstack([pts, tp]), np.concatenate([w, tw])
                 rules.append((pts, w))
-            e = np.zeros((len(keys), max(len(w) for _, w in rules), self.nc))
-            w = np.zeros(e.shape[:2])
-            for j, (key, (pts, wj)) in enumerate(zip(keys, rules)):
-                e[j, :len(wj)] = self._monomials(*key).eval(pts)
-                w[j, :len(wj)] = wj
+            pts, w = _padded(rules)
+            e = monomial_values(_scaled([self._monomials(*key) for key in keys], pts),
+                                self.k + 1)
             self._transforms = dict(zip(keys, orthonormal_basis(
                 e, w, [f"sub-cell ({c}, {side})" for c, side in keys])))
             for key in plain[1:]:
@@ -243,6 +282,16 @@ class LocalOperators:
             basis = self._cell_bases[cid, i] = OrthonormalBasis(
                 self._monomials(cid, i), self._transforms[cid, i])
         return basis
+
+    @cached_property
+    def _stacked_sides(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """The sub-cells built in one stack, every one that is not plain and
+        then the first plain one, and all plain sub-cells."""
+        cm = self.cm
+        sides = cm.sides()
+        is_plain = [cm.is_plain(*key) for key in sides]
+        plain = [key for key, p in zip(sides, is_plain) if p]
+        return [key for key, p in zip(sides, is_plain) if not p] + plain[:1], plain
 
     def _monomials(self, cid: int, i: int) -> CellBasis:
         """Monomials of degree k+1 centered at the barycenter of (cid, i)
@@ -265,15 +314,38 @@ class LocalOperators:
             center = c.barycenter[i]
         return CellBasis(self.k + 1, (float(center[0]), float(center[1])), scale)
 
+    def _kept(self, store: dict, build, cid: int, i: int):
+        """``store[cid, i]``, built on the first call and kept.  The first
+        call to a store builds, by ``build(keys)``, the stacked sub-cells
+        (see ``_stacked_sides``); any other sub-cell is built as a stack of
+        one when asked for."""
+        t = store.get((cid, i))
+        if t is None:
+            if not store:
+                keys = self._stacked_sides[0]
+                store.update(zip(keys, build(keys)))
+            if (cid, i) not in store:
+                store[cid, i] = build([(cid, i)])[0]
+            t = store[cid, i]
+        return t
+
     def volume_tables(self, cid: int, i: int) -> VolumeTables:
         """Quadrature of sub-cell (cid, i) with its cell basis values and
-        gradients, built on the first call and kept."""
-        t = self._tables.get((cid, i))
-        if t is None:
-            pts, w = self.volume_quadrature(cid, i)
-            basis = self.cell_basis(cid, i)
-            t = self._tables[cid, i] = VolumeTables(pts, w, basis.eval(pts), basis.grad(pts))
-        return t
+        gradients, built on the first call and kept (see ``_kept``); the
+        stack's gradients have the bits of ``OrthonormalBasis.grad``."""
+        return self._kept(self._tables, self._build_volume_tables, cid, i)
+
+    def _build_volume_tables(self, keys) -> list[VolumeTables]:
+        rules = [self.volume_quadrature(*key) for key in keys]
+        bases = [self.cell_basis(*key) for key in keys]
+        monos = [b.mono for b in bases]
+        xi = _scaled(monos, _padded(rules)[0])
+        transforms = np.array([b.transform for b in bases])
+        ek1 = monomial_values(xi, self.k + 1) @ transforms
+        scales = np.array([m.scale for m in monos])[:, None, None, None]
+        dek1 = transform_gradients(monomial_gradients(xi, self.k + 1, scales), transforms)
+        return [VolumeTables(p, w, ek1[j, :len(w)], dek1[j, :len(w)])
+                for j, (p, w) in enumerate(rules)]
 
     def volume_quadrature(self, cid: int, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Points and weights of the volume quadrature of sub-cell (cid, i).
@@ -336,27 +408,96 @@ class LocalOperators:
         of its basis, Legendre polynomials of the arc length scaled so that
         their Gram matrix is h I: the reference table times sqrt(h / |F|),
         |F| the sum of the weights.  A zero-length segment has no points."""
-        pts, w = segment_rule(seg[0], seg[1], self._gauss_n)
-        if not len(w):
-            return pts, w, np.zeros((0, self.nf))
-        return pts, w, self._face_ref * np.sqrt(self.cm.mesh.h / w.sum())
+        pts, w, chi = (v[0] for v in self._face_rules(np.asarray(seg, dtype=float)[None]))
+        return (pts, w, chi) if w.any() else (pts[:0], w[:0], chi[:0])
+
+    def _face_rules(self, segs: np.ndarray):
+        """``face_rule`` of a stack of sub-faces ``segs`` (n, 2, 2): points
+        (n, p, 2), weights (n, p) and face basis values (n, p, nf).  A
+        zero-length segment has zero weights and face basis values."""
+        pts, w = segment_rules(segs, self._gauss_n)
+        size = w.sum(axis=1)
+        scale = np.sqrt(self.cm.mesh.h / np.where(size > 0.0, size, np.inf))
+        return pts, w, self._face_ref * scale[:, None, None]
+
+    def face_tables(self, cid: int, i: int) -> FaceTables:
+        """Face products of sub-cell (cid, i), built on the first call and kept.
+
+        For each sub-face of (cid, i), with psi its cell basis, q = psi's
+        first dim P_k functions and chi the face basis: the projection
+        P = chi^T W psi / h and the flux products q^T W n_d [chi | psi].
+        On a receiving side the same flux products follow for each donor's
+        sub-faces, with psi the donor's basis and q the receiver's
+        ``lower(k)`` at the donor's face points.
+
+        The first call builds the tables of every sub-cell that is not
+        plain, and of the first plain one, in one stack: one stacked face
+        rule and basis evaluation, then the products by batched matmul.
+        Any other sub-cell is built as a stack of one when asked for.
+        """
+        return self._kept(self._face_tables, self._build_face_tables, cid, i)
+
+    def _build_face_tables(self, keys) -> list[FaceTables]:
+        cm = self.cm
+        ng = self.ng
+        owners, fids, segs, nrms, bases, ranges = [], [], [], [], [], []
+        receivers = {}  # donor sub-face -> its receiver's basis
+        for cid, i in keys:
+            lo, own = len(fids), None
+            for owner in [cid, *cm.pairing.donors(cid, i)]:
+                for fid, seg, nrm in cm.subfaces(owner, i):
+                    if owner != cid:
+                        receivers[len(fids)] = self.cell_basis(cid, i)
+                    owners.append(owner)
+                    fids.append(fid)
+                    segs.append(seg)
+                    nrms.append(nrm)
+                    bases.append(self.cell_basis(owner, i))
+                own = len(fids) if own is None else own
+            ranges.append((lo, own, len(fids)))
+        pts, w, chi = self._face_rules(np.reshape(segs, (-1, 2, 2)))
+
+        def values(stack, at, n):
+            """The first n functions of each basis of the stack at its points."""
+            mono = monomial_values(_scaled([b.mono for b in stack], at), self.k + 1)
+            return mono[:, :, :n] @ np.array([b.transform[:n, :n] for b in stack])
+
+        psi = values(bases, pts, self.nc)
+        q = psi[:, :, :ng]
+        if receivers:  # on a donor's sub-face q is the receiver's lower(k)
+            q = q.copy()
+            sel = list(receivers)
+            q[sel] = values(list(receivers.values()), pts[sel], ng)
+        chipsi = np.concatenate([chi, psi], axis=2)
+        wn = w[:, :, None] * np.reshape(nrms, (-1, 1, 2))
+        flux = np.concatenate([q.swapaxes(1, 2) @ (wn[:, :, d, None] * chipsi)
+                               for d in (0, 1)], axis=1)
+        proj = chi.swapaxes(1, 2) @ (w[:, :, None] * psi) / cm.mesh.h
+        return [FaceTables(owners[lo:hi], fids[lo:hi], proj[lo:own], flux[lo:hi])
+                for lo, own, hi in ranges]
 
     # -- gradient reconstruction --------------------------------------
 
     def reconstruction_stencil(self, cid: int, i: int) -> Stencil:
-        cm = self.cm
-        ks = [(("c", cid, i), self.nc)]
-        for fid, _, _ in cm.subfaces(cid, i):
-            ks.append((("f", fid, i), self.nf))
-        if cm.cells[cid].is_cut and i == 1:
-            ks.append((("c", cid, 2), self.nc))
-        for s in cm.pairing.donors(cid, i):
-            ks.append((("c", s, i), self.nc))
-            for fid, _, _ in cm.subfaces(s, i):
+        """Dof blocks of sub-cell (cid, i): its cell block, its sub-faces,
+        on side 1 of a cut cell its side-2 cell block, then for each donor
+        the same; built on the first call and kept."""
+        st = self._stencils.get((cid, i))
+        if st is None:
+            cm = self.cm
+            ks = [(("c", cid, i), self.nc)]
+            for fid, _, _ in cm.subfaces(cid, i):
                 ks.append((("f", fid, i), self.nf))
-            if i == 1:
-                ks.append((("c", s, 2), self.nc))
-        return Stencil.build(ks)
+            if cm.cells[cid].is_cut and i == 1:
+                ks.append((("c", cid, 2), self.nc))
+            for s in cm.pairing.donors(cid, i):
+                ks.append((("c", s, i), self.nc))
+                for fid, _, _ in cm.subfaces(s, i):
+                    ks.append((("f", fid, i), self.nf))
+                if i == 1:
+                    ks.append((("c", s, 2), self.nc))
+            st = self._stencils[cid, i] = Stencil.build(ks)
+        return st
 
     def gradient_rhs(self, cid: int, i: int) -> tuple[np.ndarray, Stencil]:
         """Moment matrix B with (B v)_a = (G(v), q_a) for the stencil dofs.
@@ -367,7 +508,6 @@ class LocalOperators:
         ng, nc, nf = self.ng, self.nc, self.nf
         st = self.reconstruction_stencil(cid, i)
         t = self.volume_tables(cid, i)
-        basis_k = self.cell_basis(cid, i).lower(self.k)
         b = np.zeros((2 * ng, st.width))
 
         # (grad u_Ti, q)
@@ -377,20 +517,12 @@ class LocalOperators:
         b[ng:, ccols] += ek.T @ (t.w[:, None] * t.dek1[:, :, 1])
 
         # (u_dTi - u_Ti, q.n_T)_dTi and donor faces with extended q
+        ft = self.face_tables(cid, i)
+        for owner, fid, flux in zip(ft.owners, ft.fids, ft.flux):
+            b[:, st.cols(("f", fid, i), nf)] += flux[:, :nf]
+            b[:, st.cols(("c", owner, i), nc)] -= flux[:, nf:]
+        # jump across the interface, only tested on side 1
         for owner in [cid, *cm.pairing.donors(cid, i)]:
-            obasis = self.cell_basis(owner, i)
-            ocols = st.cols(("c", owner, i), nc)
-            for fid, seg, nrm in cm.subfaces(owner, i):
-                fpts, fw, chi = self.face_rule(seg)
-                psi = obasis.eval(fpts)
-                # q, extended when owner != cid; else the leading block of psi
-                phif = psi[:, :ng] if owner == cid else basis_k.eval(fpts)
-                fcols = st.cols(("f", fid, i), nf)
-                for comp, rows in ((0, slice(0, ng)), (1, slice(ng, 2 * ng))):
-                    wn = fw * nrm[comp]
-                    b[rows, fcols] += phif.T @ (wn[:, None] * chi)
-                    b[rows, ocols] -= phif.T @ (wn[:, None] * psi)
-            # jump across the interface, only tested on side 1
             if i == 1 and cm.cells[owner].is_cut:
                 flux = self.interface_tables(owner).flux
                 b[:, st.cols(("c", owner, 1), nc)] -= flux[:, :nc]
@@ -438,20 +570,22 @@ class LocalOperators:
         """Lehrenfeld-Schoberl penalty kappa/h |Pi_F(v_T) - v_F|^2 on dTi.
 
         The face basis has Gram matrix h I, so Pi_F is its moments over h
-        and the penalty is kappa times the squared coefficient residual.
+        and the penalty is kappa times the squared coefficient residual
+        [P, -I] of each sub-face, P its projection from ``face_tables``:
+        P^T P on the cell block, -P^T and -P between the cell and the face,
+        and I on the face block.
         """
-        cm = self.cm
         nc, nf = self.nc, self.nf
-        basis = self.cell_basis(cid, i)
+        ft = self.face_tables(cid, i)
         st = self.reconstruction_stencil(cid, i)
         a = np.zeros((st.width, st.width))
-        for fid, seg, _ in cm.subfaces(cid, i):
-            fpts, fw, chi = self.face_rule(seg)
-            rmat = np.zeros((nf, st.width))
-            proj = chi.T @ (fw[:, None] * basis.eval(fpts)) / cm.mesh.h
-            rmat[:, st.cols(("c", cid, i), nc)] = proj
-            rmat[:, st.cols(("f", fid, i), nf)] -= np.eye(nf)
-            a += rmat.T @ rmat
+        cell = st.cols(("c", cid, i), nc)
+        for fid, proj in zip(ft.fids, ft.proj):
+            face = st.cols(("f", fid, i), nf)
+            a[cell, cell] += proj.T @ proj
+            a[cell, face] -= proj.T
+            a[face, cell] -= proj
+            a[face, face] += np.eye(nf)
         a *= kappa_i
         return 0.5 * (a + a.T), st
 

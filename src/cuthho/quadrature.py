@@ -47,15 +47,21 @@ def points_for_degree(degree: int) -> int:
 
 
 def segment_rule(p0, p1, npts: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mapped Gauss rule on the segment p0-p1; weights sum to its length."""
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    length = float(np.linalg.norm(p1 - p0))
-    if length == 0.0:
+    """Mapped Gauss rule on the segment p0-p1; weights sum to its length.
+    A zero-length segment has no points."""
+    pts, w = segment_rules(np.array([[p0, p1]], dtype=float), npts)
+    if not w.any():
         return np.zeros((0, 2)), np.zeros(0)
+    return pts[0], w[0]
+
+
+def segment_rules(segs: np.ndarray, npts: int) -> tuple[np.ndarray, np.ndarray]:
+    """``segment_rule`` on a stack of segments (n, 2, 2): points (n, npts, 2)
+    and weights (n, npts); a zero-length segment has zero weights."""
     t, w = gauss_1d(npts)
-    pts = 0.5 * (p0 + p1) + 0.5 * np.outer(t, p1 - p0)
-    return pts, 0.5 * length * w
+    p0, p1 = segs[:, 0], segs[:, 1]
+    pts = 0.5 * (p0 + p1)[:, None] + 0.5 * (t[:, None] * (p1 - p0)[:, None])
+    return pts, 0.5 * np.linalg.norm(p1 - p0, axis=1)[:, None] * w
 
 
 def gauss_jacobi_1d(npts: int) -> tuple[np.ndarray, np.ndarray]:

@@ -158,13 +158,16 @@ def conditioning_study(interface: str, sweep, ks, level: int = 0,
     radius 1/3 + i/32; ``interface='square'`` as exponents p with position
     delta = 0.5e-p.  Assembly uses zero data, only the matrix matters.
     Each input and sweep value passes ``check_inputs`` first: i in -10..5
-    and p >= 1 keep the interface inside the unit square.
+    and p >= 1 keep the interface inside the unit square.  A repeated
+    sweep value or k is solved once; sweep points keep their first-seen
+    order, and each point's records come sorted by k.
 
     The cut mesh does not depend on k, so it is built once per sweep
     point; its build time is charged to the first k's ``wall_time_s``.
     """
     if interface not in ("circle", "square"):
         raise ConfigError("interface must be 'circle' or 'square'")
+    sweep = list(dict.fromkeys(sweep))
     circles = [(f"circle[i={val}]", Circle((0.5, 0.5), 1.0 / 3.0 + float(val) / 32.0))
                for val in sweep] if interface == "circle" else []
     assembly.check_inputs(ks=ks, levels=[level], r=r, eta=eta, thetas=[theta], kappa2=kappa2,
@@ -176,7 +179,7 @@ def conditioning_study(interface: str, sweep, ks, level: int = 0,
     for name, ls in points:
         t0 = time.perf_counter()
         cm = build_cut_mesh(mesh, ls, theta=theta, r=r)
-        for k in sorted(ks):
+        for k in sorted(set(ks)):
             system = assembly.assemble(cm, k, kappa=(1.0, kappa2), eta=eta)
             cond = assembly.condition_number(system)
             records.append(RunRecord(name, k, level, r, theta, eta, kappa2,
@@ -189,8 +192,9 @@ def conditioning_study(interface: str, sweep, ks, level: int = 0,
 def theta_study(case_name: str, thetas, k: int, levels, r: int | None = None,
                 eta: float = 20.0, kappa2: float | None = None) -> list[RunRecord]:
     """Convergence sweeps over the ill-cut flagging parameter; every input
-    passes ``check_inputs`` before the first sweep builds any geometry."""
-    thetas = [float(theta) for theta in thetas]
+    passes ``check_inputs`` before the first sweep builds any geometry.  A
+    repeated theta is swept once, in first-seen order."""
+    thetas = list(dict.fromkeys(float(theta) for theta in thetas))
     assembly.check_inputs(ks=[k], levels=levels, r=r, eta=eta, thetas=thetas,
                           kappa2=kappa2)
     records = []

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cuthho import study
+from cuthho import assembly, study
 from cuthho.cases import (
     RADIUS,
     available_cases,
@@ -16,7 +16,7 @@ from cuthho.cases import (
     verify_case,
 )
 from cuthho.cli import main
-from cuthho.errors import ConfigError
+from cuthho.errors import ConfigError, GeometryError
 from cuthho.geometry import build_cut_mesh
 from cuthho.levelset import Circle, interface_clear_of_boundary
 from cuthho.study import (
@@ -165,6 +165,46 @@ def test_conditioning_builds_one_cut_mesh_per_sweep_point(monkeypatch):
              for rec in conditioning_study("circle", [i], [k], level=0, r=4)]
     assert [dataclasses.replace(rec, wall_time_s=0.0) for rec in recs] == [
         dataclasses.replace(rec, wall_time_s=0.0) for rec in one_k]
+
+
+def test_repeated_study_inputs_are_solved_once(monkeypatch):
+    # as convergence_study does with a repeated k or level
+    solved = []
+    original = assembly.assemble
+
+    def counting(cm, k, *args, **kwargs):
+        solved.append(k)
+        return original(cm, k, *args, **kwargs)
+
+    monkeypatch.setattr(assembly, "assemble", counting)
+    recs = conditioning_study("square", [2, 2], [0, 0], level=0, r=4)
+    assert len(solved) == 1 and [(rec.case, rec.k) for rec in recs] == [("square[p=2]", 0)]
+    solved.clear()
+    recs = study.theta_study("sinsin", [0.3, 0.3], 0, [0], r=4)
+    assert len(solved) == 1 and [rec.theta for rec in recs] == [0.3]
+    solved.clear()
+    recs = conditioning_study("circle", [0, -1, 0], [1, 0, 1], level=0, r=4)
+    assert len(solved) == 4
+    assert [(rec.case, rec.k) for rec in recs] == [
+        ("circle[i=0]", 0), ("circle[i=0]", 1), ("circle[i=-1]", 0), ("circle[i=-1]", 1)]
+
+
+@pytest.mark.parametrize("x0", [0.37, 0.3 + 1e-9, 0.615, 0.72])
+def test_patch_test_on_several_vertical_lines(x0):
+    # a global P^{k+1} across a vertical line, near a vertex (x0 = 0.3 +
+    # 1e-9) or not, is reproduced on every face term of the method
+    worst = 0.0
+    for level in (0, 1):
+        for k in range(4):
+            rec, _, _ = solve_single(polynomial_case(k, x0), k, level, r=4, theta=0.3,
+                                     check_case=False)
+            worst = max(worst, rec.energy_error)
+    assert worst <= 1e-9
+
+
+def test_patch_line_on_a_face_is_rejected_naming_it():
+    with pytest.raises(GeometryError, match=r"face 11\b"):
+        solve_single(polynomial_case(1, 0.55), 1, 1, r=4, theta=0.3, check_case=False)
 
 
 def test_convergence_builds_one_cut_mesh_per_level(monkeypatch):

@@ -196,6 +196,117 @@ def test_assemble_builds_each_sub_cell_tables_once(monkeypatch):
     assert {key: len(v) for key, v in built.items() if len(v) != 1} == {}
 
 
+def per_face_oracle(ops, cid, i):
+    """B of ``gradient_rhs`` and ``stab_circ`` at kappa = 1 of sub-cell
+    (cid, i), built one sub-face at a time: a face rule, the bases at its
+    points and the products, for each sub-face and each donor's sub-face."""
+    cm = ops.cm
+    ng, nc, nf = ops.ng, ops.nc, ops.nf
+    st = ops.reconstruction_stencil(cid, i)
+    basis = ops.cell_basis(cid, i)
+    b = np.zeros((2 * ng, st.width))
+    if not cm.is_ko(cid, i):
+        t = ops.volume_tables(cid, i)
+        ccols = st.cols(("c", cid, i), nc)
+        ek = t.ek1[:, :ng]
+        b[0:ng, ccols] += ek.T @ (t.w[:, None] * t.dek1[:, :, 0])
+        b[ng:, ccols] += ek.T @ (t.w[:, None] * t.dek1[:, :, 1])
+        for owner in [cid, *cm.pairing.donors(cid, i)]:
+            obasis = ops.cell_basis(owner, i)
+            ocols = st.cols(("c", owner, i), nc)
+            for fid, seg, nrm in cm.subfaces(owner, i):
+                fpts, fw, chi = ops.face_rule(seg)
+                psi = obasis.eval(fpts)
+                phif = psi[:, :ng] if owner == cid else basis.lower(ops.k).eval(fpts)
+                fcols = st.cols(("f", fid, i), nf)
+                for comp, rows in ((0, slice(0, ng)), (1, slice(ng, 2 * ng))):
+                    wn = fw * nrm[comp]
+                    b[rows, fcols] += phif.T @ (wn[:, None] * chi)
+                    b[rows, ocols] -= phif.T @ (wn[:, None] * psi)
+            if i == 1 and cm.cells[owner].is_cut:
+                flux = ops.interface_tables(owner).flux
+                b[:, st.cols(("c", owner, 1), nc)] -= flux[:, :nc]
+                b[:, st.cols(("c", owner, 2), nc)] += flux[:, nc:]
+    a = np.zeros((st.width, st.width))
+    for fid, seg, _ in cm.subfaces(cid, i):
+        fpts, fw, chi = ops.face_rule(seg)
+        rmat = np.zeros((nf, st.width))
+        rmat[:, st.cols(("c", cid, i), nc)] = chi.T @ (fw[:, None] * basis.eval(fpts)) / cm.mesh.h
+        rmat[:, st.cols(("f", fid, i), nf)] -= np.eye(nf)
+        a += rmat.T @ rmat
+    return b, 0.5 * (a + a.T)
+
+
+@pytest.mark.parametrize("name,level,k", [
+    ("jump-mixed", 0, 1), ("jump-mixed", 0, 2), ("jump-mixed", 0, 3), ("sinsin", 1, 1)])
+def test_face_tables_match_the_per_face_loops(name, level, k):
+    # cut, failing and receiving sides, and sub-cells on the Dirichlet boundary
+    case = make_case(name)
+    cm = build_cut_mesh(build_mesh(level), case.levelset, theta=0.3, r=4)
+    assert cm.cut_cells() and cm.ko_sides()
+    assert any(cm.pairing.donors(cid, i) for cid, i in cm.ok_sides())
+    ops = LocalOperators(cm, k, case)
+    on_boundary = 0
+    for cid, i in cm.sides():
+        want_b, want_s = per_face_oracle(ops, cid, i)
+        got_s, st = ops.stab_circ(cid, i, 1.0)
+        assert st.keys == ops.reconstruction_stencil(cid, i).keys
+        assert np.abs(got_s - want_s).max() <= 1e-13 * np.abs(want_s).max(), (cid, i)
+        if not cm.is_ko(cid, i):
+            got_b, _ = ops.gradient_rhs(cid, i)
+            assert np.abs(got_b - want_b).max() <= 1e-13 * np.abs(want_b).max(), (cid, i)
+        on_boundary += any(cm.mesh.is_boundary_face(f) for f, _, _ in cm.subfaces(cid, i))
+    assert on_boundary
+
+
+def test_assemble_builds_every_sub_face_rule_in_one_stack(monkeypatch):
+    # gradient_rhs and stab_circ read the face tables: no face_rule call of
+    # theirs; the boundary projections still call face_rule, a stack of one,
+    # once per side of a boundary face
+    case = make_case("sinsin")
+    cm = build_cut_mesh(build_mesh(1), case.levelset, theta=0.3, r=8)
+    calls = {"stacked": 0, "face_rule": 0, "in_operators": 0}
+    depth = [0]
+    stacked, face_rule = LocalOperators._face_rules, LocalOperators.face_rule
+
+    def counting_stacked(self, segs):
+        calls["stacked"] += 1
+        return stacked(self, segs)
+
+    def counting_face_rule(self, seg):
+        calls["face_rule"] += 1
+        calls["in_operators"] += depth[0] > 0
+        return face_rule(self, seg)
+
+    def nested(method):
+        def wrapped(self, *args):
+            depth[0] += 1
+            try:
+                return method(self, *args)
+            finally:
+                depth[0] -= 1
+        return wrapped
+
+    monkeypatch.setattr(LocalOperators, "_face_rules", counting_stacked)
+    monkeypatch.setattr(LocalOperators, "face_rule", counting_face_rule)
+    for name in ("gradient_rhs", "stab_circ"):
+        monkeypatch.setattr(LocalOperators, name, nested(getattr(LocalOperators, name)))
+    system = assemble(cm, 1, kappa=case.kappa, case=case)
+    boundary_sides = sum(len(fc.sides()) for fc in cm.faces
+                         if cm.mesh.is_boundary_face(fc.fid))
+    assert calls == {"stacked": 1 + boundary_sides, "face_rule": boundary_sides,
+                     "in_operators": 0}
+    # kept: asking again returns the same tables; a plain sub-cell outside
+    # the stack (all but the first plain one) is built alone, once
+    ops = system.ops
+    plain = [key for key in cm.sides() if cm.is_plain(*key)]
+    first = ops.face_tables(*plain[0])
+    assert ops.face_tables(*plain[0]) is first
+    other = ops.face_tables(*plain[1])
+    assert ops.face_tables(*plain[1]) is other
+    assert calls["stacked"] - calls["face_rule"] == 2
+
+
 def test_error_pass_quadrature_is_the_tables_bit_for_bit():
     # the tables hold the sub-cell's quadrature and its cell basis' gradients
     # there, bit for bit; energy_error reads them
