@@ -11,7 +11,6 @@ through one block-diagonal inverse Cholesky factor of it.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -337,20 +336,28 @@ def assemble(cm: CutMesh, k: int, kappa: tuple[float, float] = (1.0, 1.0),
 
     g = np.zeros(layout.n_total)
     if case is not None:
-        for fc in cm.faces:
-            if not cm.mesh.is_boundary_face(fc.fid):
-                continue
-            for i in fc.sides():
-                g[layout.indices(("f", fc.fid, i))] = _project_on_face(
-                    ops, fc, i, functools.partial(case.u, i))
+        _project_on_faces(ops, layout, g, [fc for fc in cm.faces
+                                           if cm.mesh.is_boundary_face(fc.fid)], case.u)
     return System(cm, k, kappa, eta, layout, a_mat, b, g, ops, plain)
 
 
-def _project_on_face(ops: LocalOperators, fc, i: int, fn) -> np.ndarray:
-    """L2-projection of ``fn(pts)`` onto the polynomials of face side (fc, i):
-    the face basis has Gram matrix h I, so its moments over h."""
-    pts, w, chi = ops.face_rule(fc.segments[i])
-    return chi.T @ (w * fn(pts)) / ops.cm.mesh.h
+def _project_on_faces(ops: LocalOperators, layout: DofLayout, x: np.ndarray, faces,
+                      fn) -> None:
+    """Write into ``x`` the L2-projection of ``fn(i, pts)`` onto the
+    polynomials of each side i of each face of ``faces``.  The face basis
+    has Gram matrix h I, so a projection is its moments over h.  All face
+    sides take one stacked face rule, and ``fn`` is called once per side."""
+    sides = [(fc, i) for fc in faces for i in fc.sides()]
+    pts, w, chi = ops._face_rules(np.reshape([fc.segments[i] for fc, i in sides], (-1, 2, 2)))
+    side = np.array([i for _, i in sides])
+    values = np.zeros(w.shape)
+    for i in (1, 2):
+        sel = side == i
+        if sel.any():
+            values[sel] = fn(i, pts[sel].reshape(-1, 2)).reshape(-1, w.shape[1])
+    proj = (chi.swapaxes(1, 2) @ (w * values)[:, :, None])[:, :, 0] / ops.cm.mesh.h
+    for (fc, i), p in zip(sides, proj):
+        x[layout.indices(("f", fc.fid, i))] = p
 
 
 # ----------------------------------------------------------------------
@@ -565,8 +572,5 @@ def interpolate_polynomial(cm: CutMesh, k: int, poly: dict) -> np.ndarray:
     x = np.zeros(layout.n_total)
     for cid, i in cm.sides():
         x[layout.indices(("c", cid, i))] = expand_in_basis(poly, ops.cell_basis(cid, i))
-    for fc in cm.faces:
-        for i in fc.sides():
-            x[layout.indices(("f", fc.fid, i))] = _project_on_face(
-                ops, fc, i, functools.partial(poly_eval, poly))
+    _project_on_faces(ops, layout, x, cm.faces, lambda i, pts: poly_eval(poly, pts))
     return x

@@ -9,8 +9,9 @@ Subcommands:
 
 Exit codes: 0 on success, 2 for invalid configuration, 3 for geometric or
 numerical failures (the error message goes to stderr).  Invalid input,
-an output path in a missing directory included, exits 2 before any
-geometry is built.
+an output path in a missing directory and a ``--dump-cuts`` path that
+does not end in .svg or .csv included, exits 2 before any geometry is
+built.
 """
 
 from __future__ import annotations
@@ -132,6 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(args) -> None:
     _check_output_dirs(args.dump_cuts, args.export_matrix)
+    if args.dump_cuts and not args.dump_cuts.endswith((".svg", ".csv")):
+        raise ConfigError(f"--dump-cuts writes .svg or .csv, not {args.dump_cuts!r}")
     case = make_case(args.case, kappa2=args.kappa2)
     rec, system, _ = study.solve_single(
         case, args.k, args.level, r=args.r, theta=args.theta, eta=args.eta,

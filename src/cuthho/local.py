@@ -24,23 +24,21 @@ reference table.  Scaled this way, cond(A) no longer grows as a cut
 shrinks; the stiffness B^T M^-1 B, the lifting and the discrete
 solution do not depend on the basis.
 
-Everything built here is kept for the lifetime of the operators, once
-per sub-cell or cut cell: the cell bases, whose transforms the first
-call builds for all sub-cells in one stack (every sub-cell that is not
-plain, and the first plain one, which all plain ones share); the
-compressed volume rule of each cut sub-cell (``volume_quadrature``);
-each sub-cell's volume tables, its quadrature with the values and
-gradients of its cell basis, which the operators and ``energy_error``
-read; each sub-cell's face tables, the projection and flux products of
-its sub-faces (and on a receiving side of its donors' sub-faces) that
-``gradient_rhs`` and ``stab_circ`` read, whose face rules are not kept;
-and each cut cell's interface tables, the few products over its arc
-that the interface terms read, whose rule is not kept.  The volume and
-face tables of the sub-cells that share the transforms' stack are built
-in one stack too, on the first call; any other sub-cell's are built
-alone when asked for.  The load and lifting terms take their data from
-the case the operators are built with.  ``assemble`` calls these
-operators only for the sub-cells that are not plain (see
+Everything built here is kept for the lifetime of the operators.  Each
+sub-cell has one record, a ``SubCell``: its cell basis, its volume
+tables (its quadrature with the values and gradients of its cell basis,
+which the operators and ``energy_error`` read), its face tables (the
+projection and flux products of its sub-faces, and on a receiving side
+of its donors' sub-faces, which ``gradient_rhs`` and ``stab_circ``
+read) and its reconstruction stencil.  The records are built in two
+stacks (see ``_build``): the first call builds every sub-cell that is
+not plain and the first plain one; the first call for any other plain
+sub-cell builds all of those, which share the first plain one's
+transform.  Each cut cell keeps its interface tables, the few products
+over its arc that the interface terms read.  No volume fan rule, face
+rule or interface rule is kept.  The load and lifting terms take their
+data from the case the operators are built with.  ``assemble`` calls
+these operators only for the sub-cells that are not plain (see
 ``CutMesh.is_plain``) and once for the reference element that stands
 for all plain ones.
 
@@ -56,7 +54,6 @@ one block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import legvander
@@ -222,6 +219,16 @@ class Stencil:
         return slice(off, off + size)
 
 
+@dataclass
+class SubCell:
+    """Everything kept of one sub-cell; see LocalOperators._build."""
+
+    basis: OrthonormalBasis
+    tables: VolumeTables
+    faces: FaceTables
+    stencil: Stencil
+
+
 class LocalOperators:
     def __init__(self, cutmesh: CutMesh, k: int, case=None):
         self.cm = cutmesh
@@ -233,18 +240,43 @@ class LocalOperators:
         degree = 2 * k + 3
         self._tri_ref = triangle_rule(degree)
         self._gauss_n = points_for_degree(degree)
-        self._gauss = gauss_1d(self._gauss_n)
         # sqrt(2j+1) P_j at the Gauss parameters, j = 0..k: Gram 2 I
-        self._face_ref = legvander(self._gauss[0], k) * np.sqrt(2 * np.arange(k + 1) + 1)
-        self._cell_bases: dict[tuple[int, int], OrthonormalBasis] = {}
-        self._transforms: dict[tuple[int, int], np.ndarray] | None = None
-        self._cut_rules: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._tables: dict[tuple[int, int], VolumeTables] = {}
+        self._face_ref = (legvander(gauss_1d(self._gauss_n)[0], k)
+                          * np.sqrt(2 * np.arange(k + 1) + 1))
+        self._subcells: dict[tuple[int, int], SubCell] = {}
         self._iface_tables: dict[int, InterfaceTables] = {}
-        self._face_tables: dict[tuple[int, int], FaceTables] = {}
-        self._stencils: dict[tuple[int, int], Stencil] = {}
 
-    # -- geometry-backed ingredients ---------------------------------
+    # -- the kept records of the sub-cells ----------------------------
+
+    def _record(self, cid: int, i: int) -> SubCell:
+        """The record of sub-cell (cid, i); a missing one is built through
+        ``volume_tables``, so the build is timed as the volume tables'."""
+        rec = self._subcells.get((cid, i))
+        if rec is None:
+            self.volume_tables(cid, i)
+            rec = self._subcells[cid, i]
+        return rec
+
+    def volume_tables(self, cid: int, i: int) -> VolumeTables:
+        """Quadrature of sub-cell (cid, i) with its cell basis values and
+        gradients; the gradients have the bits of ``OrthonormalBasis.grad``.
+
+        The first call builds the records of every sub-cell that is not
+        plain and of the first plain one as one stack; the first call for
+        any other plain sub-cell builds all of those as a second stack, with
+        the first plain one's transform, plain sub-cells being translates of
+        one another.
+        """
+        rec = self._subcells.get((cid, i))
+        if rec is None:
+            cm = self.cm
+            plain = [key for key in cm.sides() if cm.is_plain(*key)]
+            if not self._subcells:
+                self._build([key for key in cm.sides() if not cm.is_plain(*key)] + plain[:1])
+            if (cid, i) not in self._subcells:
+                self._build(plain[1:], self._subcells[plain[0]].basis.transform)
+            rec = self._subcells[cid, i]
+        return rec.tables
 
     def cell_basis(self, cid: int, i: int) -> OrthonormalBasis:
         """Degree k+1 basis of the cell unknowns of sub-cell (cid, i).
@@ -254,44 +286,129 @@ class LocalOperators:
         partner, where its polynomial is used (a sliver alone can make the
         mass matrix singular).  Its first dim P_k functions, ``lower(k)``,
         are the basis of the gradient reconstruction space.
-
-        The first call builds the transforms of all sub-cells as one stack
-        by ``orthonormal_basis``: one for each sub-cell that is not plain,
-        and one for the first plain sub-cell, which all plain ones share,
-        being translates of one another.
         """
-        if self._transforms is None:
-            cm = self.cm
-            keys, plain = self._stacked_sides
-            rules = []
-            for c, side in keys:
-                pts, w = self.volume_quadrature(c, side)
-                if cm.is_ko(c, side):
-                    tp, tw = self.volume_quadrature(cm.partner_of(c), side)
-                    pts, w = np.vstack([pts, tp]), np.concatenate([w, tw])
-                rules.append((pts, w))
-            pts, w = _padded(rules)
-            e = monomial_values(_scaled([self._monomials(*key) for key in keys], pts),
-                                self.k + 1)
-            self._transforms = dict(zip(keys, orthonormal_basis(
-                e, w, [f"sub-cell ({c}, {side})" for c, side in keys])))
-            for key in plain[1:]:
-                self._transforms[key] = self._transforms[plain[0]]
-        basis = self._cell_bases.get((cid, i))
-        if basis is None:
-            basis = self._cell_bases[cid, i] = OrthonormalBasis(
-                self._monomials(cid, i), self._transforms[cid, i])
-        return basis
+        return self._record(cid, i).basis
 
-    @cached_property
-    def _stacked_sides(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        """The sub-cells built in one stack, every one that is not plain and
-        then the first plain one, and all plain sub-cells."""
-        cm = self.cm
-        sides = cm.sides()
-        is_plain = [cm.is_plain(*key) for key in sides]
-        plain = [key for key, p in zip(sides, is_plain) if p]
-        return [key for key, p in zip(sides, is_plain) if not p] + plain[:1], plain
+    def face_tables(self, cid: int, i: int) -> FaceTables:
+        """Face products of sub-cell (cid, i).
+
+        For each sub-face of (cid, i), with psi its cell basis, q = psi's
+        first dim P_k functions and chi the face basis: the projection
+        P = chi^T W psi / h and the flux products q^T W n_d [chi | psi].
+        On a receiving side the same flux products follow for each donor's
+        sub-faces, with psi the donor's basis and q the receiver's
+        ``lower(k)`` at the donor's face points.
+        """
+        return self._record(cid, i).faces
+
+    def reconstruction_stencil(self, cid: int, i: int) -> Stencil:
+        """Dof blocks of sub-cell (cid, i): its cell block, its sub-faces,
+        on side 1 of a cut cell its side-2 cell block, then for each donor
+        the same."""
+        return self._record(cid, i).stencil
+
+    def volume_quadrature(self, cid: int, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Points and weights of the volume quadrature of sub-cell (cid, i).
+
+        An uncut sub-cell has the tensor Gauss rule of its square.  A cut
+        sub-cell has its fan rule, the collapsed product rule on each of
+        its triangles (~26k nodes at k=3, r=10), compressed once by
+        ``compress_rule`` to at most dim P_{2k+3} positive nodes with the
+        same moments to degree 2k+3; the compressed rule is kept, the fan
+        rule is not.  Operator integrands have degree at most 2k+2.
+        """
+        t = self.volume_tables(cid, i)
+        return t.pts, t.w
+
+    def _build(self, keys, transform=None) -> None:
+        """Build and keep the records of the sub-cells ``keys`` as one stack.
+
+        1. Each sub-cell's volume rule (see ``volume_quadrature``).  A
+           failing side's merged region has its own rule followed by its
+           partner's, which is in the same stack.
+        2. One ``monomial_values`` call on the merged rules, padded to the
+           longest: ``orthonormal_basis`` makes the transforms of it, unless
+           all take ``transform``.  Its rows on the own rules times the
+           transforms are the basis values, padded to the longest own rule.
+        3. The basis gradients on the own rules.
+        4. One walk over the sub-faces, and on a receiving side its donors',
+           that lists each stencil's blocks and the face stack: one stacked
+           face rule and basis evaluation, then the face products by batched
+           matmul.
+        """
+        cm, k, ng = self.cm, self.k, self.ng
+        rules = {}
+        for cid, i in keys:
+            c = cm.cells[cid]
+            rules[cid, i] = (box_rule(*cm.mesh.cell_box(cid), self._gauss_n) if c.kind == UNCUT
+                             else compress_rule(*map_to_triangles(c.tris[i], *self._tri_ref),
+                                                2 * k + 3, f"sub-cell ({cid}, {i})"))
+        merged = []
+        for cid, i in keys:
+            pts, w = rules[cid, i]
+            if cm.is_ko(cid, i):
+                tp, tw = rules[cm.partner_of(cid), i]
+                pts, w = np.vstack([pts, tp]), np.concatenate([w, tw])
+            merged.append((pts, w))
+        pts, w = _padded(merged)
+        monos = [self._monomials(*key) for key in keys]
+        xi = _scaled(monos, pts)
+        e = monomial_values(xi, k + 1)
+        if transform is None:
+            transforms = orthonormal_basis(e, w, [f"sub-cell ({c}, {s})" for c, s in keys])
+        else:
+            transforms = np.broadcast_to(transform, (len(keys), *transform.shape))
+        own = max(len(rules[key][1]) for key in keys)
+        ek1 = e[:, :own] @ transforms
+        del e  # no merged stack is kept: each is freed after its last use
+        scales = np.array([m.scale for m in monos])[:, None, None, None]
+        dek1 = transform_gradients(monomial_gradients(xi[:, :own], k + 1, scales), transforms)
+        del merged, pts, w, xi
+
+        index = {key: j for j, key in enumerate(keys)}
+        faces, ranges, stencils = [], [], []
+        receivers = {}  # donor sub-face -> its receiver
+        for j, (cid, i) in enumerate(keys):
+            lo, blocks = len(faces), []
+            for owner in [cid, *cm.pairing.donors(cid, i)]:
+                blocks.append((("c", owner, i), self.nc))
+                for fid, seg, nrm in cm.subfaces(owner, i):
+                    if owner != cid:
+                        receivers[len(faces)] = j
+                    blocks.append((("f", fid, i), self.nf))
+                    faces.append((owner, fid, seg, nrm, index[owner, i]))
+                if i == 1 and cm.cells[owner].is_cut:
+                    blocks.append((("c", owner, 2), self.nc))
+                own = len(faces) if owner == cid else own
+            ranges.append((lo, own, len(faces)))
+            stencils.append(Stencil.build(blocks))
+        owners, fids, segs, nrms, bases = map(list, zip(*faces))
+        fpts, fw, chi = self._face_rules(np.reshape(segs, (-1, 2, 2)))
+
+        def values(stack, at, n):
+            """The first n functions of the bases ``stack`` at their points."""
+            mono = monomial_values(_scaled([monos[s] for s in stack], at), k + 1)
+            return mono[:, :, :n] @ transforms[stack][:, :n, :n]
+
+        psi = values(bases, fpts, self.nc)
+        q = psi[:, :, :ng]
+        if receivers:  # on a donor's sub-face q is the receiver's lower(k)
+            q = q.copy()
+            sel = list(receivers)
+            q[sel] = values(list(receivers.values()), fpts[sel], ng)
+        chipsi = np.concatenate([chi, psi], axis=2)
+        wn = fw[:, :, None] * np.reshape(nrms, (-1, 1, 2))
+        flux = np.concatenate([q.swapaxes(1, 2) @ (wn[:, :, d, None] * chipsi)
+                               for d in (0, 1)], axis=1)
+        proj = chi.swapaxes(1, 2) @ (fw[:, :, None] * psi) / cm.mesh.h
+        for j, key in enumerate(keys):
+            lo, own, hi = ranges[j]
+            n = len(rules[key][1])
+            self._subcells[key] = SubCell(
+                OrthonormalBasis(monos[j], transforms[j]),
+                VolumeTables(*rules[key], ek1[j, :n], dek1[j, :n]),
+                FaceTables(owners[lo:hi], fids[lo:hi], proj[lo:own], flux[lo:hi]),
+                stencils[j])
 
     def _monomials(self, cid: int, i: int) -> CellBasis:
         """Monomials of degree k+1 centered at the barycenter of (cid, i)
@@ -314,70 +431,14 @@ class LocalOperators:
             center = c.barycenter[i]
         return CellBasis(self.k + 1, (float(center[0]), float(center[1])), scale)
 
-    def _kept(self, store: dict, build, cid: int, i: int):
-        """``store[cid, i]``, built on the first call and kept.  The first
-        call to a store builds, by ``build(keys)``, the stacked sub-cells
-        (see ``_stacked_sides``); any other sub-cell is built as a stack of
-        one when asked for."""
-        t = store.get((cid, i))
-        if t is None:
-            if not store:
-                keys = self._stacked_sides[0]
-                store.update(zip(keys, build(keys)))
-            if (cid, i) not in store:
-                store[cid, i] = build([(cid, i)])[0]
-            t = store[cid, i]
-        return t
-
-    def volume_tables(self, cid: int, i: int) -> VolumeTables:
-        """Quadrature of sub-cell (cid, i) with its cell basis values and
-        gradients, built on the first call and kept (see ``_kept``); the
-        stack's gradients have the bits of ``OrthonormalBasis.grad``."""
-        return self._kept(self._tables, self._build_volume_tables, cid, i)
-
-    def _build_volume_tables(self, keys) -> list[VolumeTables]:
-        rules = [self.volume_quadrature(*key) for key in keys]
-        bases = [self.cell_basis(*key) for key in keys]
-        monos = [b.mono for b in bases]
-        xi = _scaled(monos, _padded(rules)[0])
-        transforms = np.array([b.transform for b in bases])
-        ek1 = monomial_values(xi, self.k + 1) @ transforms
-        scales = np.array([m.scale for m in monos])[:, None, None, None]
-        dek1 = transform_gradients(monomial_gradients(xi, self.k + 1, scales), transforms)
-        return [VolumeTables(p, w, ek1[j, :len(w)], dek1[j, :len(w)])
-                for j, (p, w) in enumerate(rules)]
-
-    def volume_quadrature(self, cid: int, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Points and weights of the volume quadrature of sub-cell (cid, i).
-
-        An uncut sub-cell has the tensor Gauss rule of its square.  A cut
-        sub-cell has its fan rule, the collapsed product rule on each of
-        its triangles (~26k nodes at k=3, r=10), compressed once by
-        ``compress_rule`` to at most dim P_{2k+3} positive nodes with the
-        same moments to degree 2k+3; the compressed rule is kept, the fan
-        rule is not.  Operator integrands have degree at most 2k+2.
-        """
-        c = self.cm.cells[cid]
-        if c.kind == UNCUT:
-            return box_rule(*self.cm.mesh.cell_box(cid), self._gauss_n)
-        rule = self._cut_rules.get((cid, i))
-        if rule is None:
-            rule = self._cut_rules[cid, i] = compress_rule(
-                *map_to_triangles(c.tris[i], *self._tri_ref), 2 * self.k + 3,
-                f"sub-cell ({cid}, {i})")
-        return rule
+    # -- geometry-backed ingredients ---------------------------------
 
     def interface_quadrature(self, cid: int):
         """Points, weights, and pointwise unit normals on the cell's polyline."""
         poly = self.cm.cells[cid].polyline
-        t, gw = self._gauss
-        p0, p1 = poly[:-1], poly[1:]
-        mid = 0.5 * (p0 + p1)
-        half = 0.5 * (p1 - p0)
-        pts = (mid[:, None, :] + t[None, :, None] * half[:, None, :]).reshape(-1, 2)
-        lengths = np.linalg.norm(p1 - p0, axis=1)
-        w = (0.5 * lengths[:, None] * gw[None, :]).ravel()
-        return pts, w, self.cm.levelset.normals(pts)
+        pts, w = segment_rules(np.stack([poly[:-1], poly[1:]], axis=1), self._gauss_n)
+        pts = pts.reshape(-1, 2)
+        return pts, w.ravel(), self.cm.levelset.normals(pts)
 
     def interface_tables(self, cid: int) -> InterfaceTables:
         """Integrals over cut cell cid's interface arc, built on the first
@@ -420,84 +481,7 @@ class LocalOperators:
         scale = np.sqrt(self.cm.mesh.h / np.where(size > 0.0, size, np.inf))
         return pts, w, self._face_ref * scale[:, None, None]
 
-    def face_tables(self, cid: int, i: int) -> FaceTables:
-        """Face products of sub-cell (cid, i), built on the first call and kept.
-
-        For each sub-face of (cid, i), with psi its cell basis, q = psi's
-        first dim P_k functions and chi the face basis: the projection
-        P = chi^T W psi / h and the flux products q^T W n_d [chi | psi].
-        On a receiving side the same flux products follow for each donor's
-        sub-faces, with psi the donor's basis and q the receiver's
-        ``lower(k)`` at the donor's face points.
-
-        The first call builds the tables of every sub-cell that is not
-        plain, and of the first plain one, in one stack: one stacked face
-        rule and basis evaluation, then the products by batched matmul.
-        Any other sub-cell is built as a stack of one when asked for.
-        """
-        return self._kept(self._face_tables, self._build_face_tables, cid, i)
-
-    def _build_face_tables(self, keys) -> list[FaceTables]:
-        cm = self.cm
-        ng = self.ng
-        owners, fids, segs, nrms, bases, ranges = [], [], [], [], [], []
-        receivers = {}  # donor sub-face -> its receiver's basis
-        for cid, i in keys:
-            lo, own = len(fids), None
-            for owner in [cid, *cm.pairing.donors(cid, i)]:
-                for fid, seg, nrm in cm.subfaces(owner, i):
-                    if owner != cid:
-                        receivers[len(fids)] = self.cell_basis(cid, i)
-                    owners.append(owner)
-                    fids.append(fid)
-                    segs.append(seg)
-                    nrms.append(nrm)
-                    bases.append(self.cell_basis(owner, i))
-                own = len(fids) if own is None else own
-            ranges.append((lo, own, len(fids)))
-        pts, w, chi = self._face_rules(np.reshape(segs, (-1, 2, 2)))
-
-        def values(stack, at, n):
-            """The first n functions of each basis of the stack at its points."""
-            mono = monomial_values(_scaled([b.mono for b in stack], at), self.k + 1)
-            return mono[:, :, :n] @ np.array([b.transform[:n, :n] for b in stack])
-
-        psi = values(bases, pts, self.nc)
-        q = psi[:, :, :ng]
-        if receivers:  # on a donor's sub-face q is the receiver's lower(k)
-            q = q.copy()
-            sel = list(receivers)
-            q[sel] = values(list(receivers.values()), pts[sel], ng)
-        chipsi = np.concatenate([chi, psi], axis=2)
-        wn = w[:, :, None] * np.reshape(nrms, (-1, 1, 2))
-        flux = np.concatenate([q.swapaxes(1, 2) @ (wn[:, :, d, None] * chipsi)
-                               for d in (0, 1)], axis=1)
-        proj = chi.swapaxes(1, 2) @ (w[:, :, None] * psi) / cm.mesh.h
-        return [FaceTables(owners[lo:hi], fids[lo:hi], proj[lo:own], flux[lo:hi])
-                for lo, own, hi in ranges]
-
     # -- gradient reconstruction --------------------------------------
-
-    def reconstruction_stencil(self, cid: int, i: int) -> Stencil:
-        """Dof blocks of sub-cell (cid, i): its cell block, its sub-faces,
-        on side 1 of a cut cell its side-2 cell block, then for each donor
-        the same; built on the first call and kept."""
-        st = self._stencils.get((cid, i))
-        if st is None:
-            cm = self.cm
-            ks = [(("c", cid, i), self.nc)]
-            for fid, _, _ in cm.subfaces(cid, i):
-                ks.append((("f", fid, i), self.nf))
-            if cm.cells[cid].is_cut and i == 1:
-                ks.append((("c", cid, 2), self.nc))
-            for s in cm.pairing.donors(cid, i):
-                ks.append((("c", s, i), self.nc))
-                for fid, _, _ in cm.subfaces(s, i):
-                    ks.append((("f", fid, i), self.nf))
-                if i == 1:
-                    ks.append((("c", s, 2), self.nc))
-            st = self._stencils[cid, i] = Stencil.build(ks)
-        return st
 
     def gradient_rhs(self, cid: int, i: int) -> tuple[np.ndarray, Stencil]:
         """Moment matrix B with (B v)_a = (G(v), q_a) for the stencil dofs.

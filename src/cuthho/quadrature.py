@@ -46,18 +46,10 @@ def points_for_degree(degree: int) -> int:
     return max(1, (degree + 2) // 2)
 
 
-def segment_rule(p0, p1, npts: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mapped Gauss rule on the segment p0-p1; weights sum to its length.
-    A zero-length segment has no points."""
-    pts, w = segment_rules(np.array([[p0, p1]], dtype=float), npts)
-    if not w.any():
-        return np.zeros((0, 2)), np.zeros(0)
-    return pts[0], w[0]
-
-
 def segment_rules(segs: np.ndarray, npts: int) -> tuple[np.ndarray, np.ndarray]:
-    """``segment_rule`` on a stack of segments (n, 2, 2): points (n, npts, 2)
-    and weights (n, npts); a zero-length segment has zero weights."""
+    """Mapped Gauss rules on a stack of segments (n, 2, 2): points
+    (n, npts, 2) and weights (n, npts), which sum to each segment's length;
+    a zero-length segment has zero weights."""
     t, w = gauss_1d(npts)
     p0, p1 = segs[:, 0], segs[:, 1]
     pts = 0.5 * (p0 + p1)[:, None] + 0.5 * (t[:, None] * (p1 - p0)[:, None])

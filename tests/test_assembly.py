@@ -19,7 +19,7 @@ from cuthho.assembly import (
     solve,
     solve_full,
 )
-from cuthho.basis import OrthonormalBasis
+from cuthho.basis import OrthonormalBasis, poly_eval
 from cuthho.cases import make_case, polynomial_case
 from cuthho.errors import ConfigError, NumericalError
 from cuthho.geometry import build_cut_mesh
@@ -164,6 +164,29 @@ def test_dirichlet_mask_on_boundary_faces():
                 assert np.all(layout.dirichlet[idx])
             else:
                 assert not np.any(layout.dirichlet[idx])
+
+
+@pytest.mark.parametrize("name,level,k", [("sinsin", 1, 1), ("jump-mixed", 0, 3)])
+def test_face_projections_match_the_per_face_loop(name, level, k):
+    # the boundary values and the interpolant's face components come from
+    # one stacked face rule; the oracle projects one face side at a time
+    case = make_case(name)
+    cm = build_cut_mesh(build_mesh(level), case.levelset, theta=0.3, r=4)
+    system = assemble(cm, k, kappa=case.kappa, case=case)
+    rng = np.random.default_rng(5)
+    poly = {(a, b): float(rng.uniform(-1, 1)) for a in range(k + 2) for b in range(k + 2 - a)}
+    x = interpolate_polynomial(cm, k, poly)
+    ops, layout = system.ops, system.layout
+    for fc in cm.faces:
+        for i in fc.sides():
+            pts, w, chi = ops.face_rule(fc.segments[i])
+            idx = layout.indices(("f", fc.fid, i))
+            want = chi.T @ (w * poly_eval(poly, pts)) / cm.mesh.h
+            assert np.abs(x[idx] - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
+            if cm.mesh.is_boundary_face(fc.fid):
+                want = chi.T @ (w * case.u(i, pts)) / cm.mesh.h
+                got = system.dirichlet_values[idx]
+                assert np.abs(got - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
 
 
 def test_energy_error_zero_for_injected_interpolate():

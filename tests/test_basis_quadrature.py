@@ -25,7 +25,7 @@ from cuthho.quadrature import (
     map_to_triangles,
     nnls,
     points_for_degree,
-    segment_rule,
+    segment_rules,
     triangle_rule,
 )
 
@@ -34,20 +34,20 @@ RNG = np.random.default_rng(42)
 
 # -- quadrature --------------------------------------------------------
 
-def test_segment_rule_measures():
-    pts, w = segment_rule((0.2, 0.3), (0.3, 0.3), 3)
-    assert w.sum() == pytest.approx(0.1, abs=1e-16)
+def test_segment_rules_measures():
+    pts, w = segment_rules(np.array([[(0.2, 0.3), (0.3, 0.3)]]), 3)
+    assert w[0].sum() == pytest.approx(0.1, abs=1e-16)
 
 
-def test_segment_rule_linear():
-    pts, w = segment_rule((0.0, 0.0), (1.0, 0.0), 2)
-    assert np.dot(w, pts[:, 0]) == pytest.approx(0.5, abs=1e-15)
+def test_segment_rules_linear():
+    pts, w = segment_rules(np.array([[(0.0, 0.0), (1.0, 0.0)]]), 2)
+    assert np.dot(w[0], pts[0, :, 0]) == pytest.approx(0.5, abs=1e-15)
 
 
-def test_segment_rule_degree5_exact_with_3_points():
-    pts, w = segment_rule((0.0, 0.0), (1.0, 0.0), 3)
-    assert np.dot(w, pts[:, 0] ** 4) == pytest.approx(0.2, abs=1e-15)
-    assert np.dot(w, pts[:, 0] ** 5) == pytest.approx(1.0 / 6.0, abs=1e-15)
+def test_segment_rules_degree5_exact_with_3_points():
+    pts, w = segment_rules(np.array([[(0.0, 0.0), (1.0, 0.0)]]), 3)
+    assert np.dot(w[0], pts[0, :, 0] ** 4) == pytest.approx(0.2, abs=1e-15)
+    assert np.dot(w[0], pts[0, :, 0] ** 5) == pytest.approx(1.0 / 6.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("degree", [1, 3, 5, 7, 9])

@@ -427,6 +427,8 @@ def test_cli_rejects_empty_or_reversed_lists(argv, tmp_path, capsys):
       "--out", "{tmp}/missing/x.csv"], "no directory for output path"),
     *[(["study", "conditioning", "--interface", "square", f"--sweep={p}"],
        f"square[p={p}]: the exponent p must be an integer >= 1") for p in (-400, 0)],
+    (["solve", "--case", "sinsin", "--k", "1", "--level", "0",
+      "--dump-cuts", "{tmp}/cuts.png"], "--dump-cuts writes .svg or .csv"),
 ])
 def test_cli_bad_r_or_eta_rejected_before_geometry(argv, message, monkeypatch, capsys,
                                                     tmp_path):

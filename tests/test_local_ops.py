@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+from cuthho import local
 from cuthho.assembly import DofLayout, PlainCells, assemble, interpolate_polynomial
 from cuthho.basis import CellBasis, expand_in_basis, poly_diff
 from cuthho.cases import make_case
@@ -261,8 +262,8 @@ def test_face_tables_match_the_per_face_loops(name, level, k):
 
 def test_assemble_builds_every_sub_face_rule_in_one_stack(monkeypatch):
     # gradient_rhs and stab_circ read the face tables: no face_rule call of
-    # theirs; the boundary projections still call face_rule, a stack of one,
-    # once per side of a boundary face
+    # theirs; the records' stack and the boundary projections take one
+    # stacked face rule each, and nothing calls face_rule
     case = make_case("sinsin")
     cm = build_cut_mesh(build_mesh(1), case.levelset, theta=0.3, r=8)
     calls = {"stacked": 0, "face_rule": 0, "in_operators": 0}
@@ -292,19 +293,89 @@ def test_assemble_builds_every_sub_face_rule_in_one_stack(monkeypatch):
     for name in ("gradient_rhs", "stab_circ"):
         monkeypatch.setattr(LocalOperators, name, nested(getattr(LocalOperators, name)))
     system = assemble(cm, 1, kappa=case.kappa, case=case)
-    boundary_sides = sum(len(fc.sides()) for fc in cm.faces
-                         if cm.mesh.is_boundary_face(fc.fid))
-    assert calls == {"stacked": 1 + boundary_sides, "face_rule": boundary_sides,
-                     "in_operators": 0}
-    # kept: asking again returns the same tables; a plain sub-cell outside
-    # the stack (all but the first plain one) is built alone, once
+    assert calls == {"stacked": 2, "face_rule": 0, "in_operators": 0}
+    # kept: asking again returns the same tables; the plain sub-cells outside
+    # the first stack (all but the first plain one) are built as a second
+    # stack, once
     ops = system.ops
     plain = [key for key in cm.sides() if cm.is_plain(*key)]
     first = ops.face_tables(*plain[0])
     assert ops.face_tables(*plain[0]) is first
     other = ops.face_tables(*plain[1])
+    assert ops.face_tables(*plain[-1]) is ops.face_tables(*plain[-1])
     assert ops.face_tables(*plain[1]) is other
-    assert calls["stacked"] - calls["face_rule"] == 2
+    assert calls["stacked"] == 3
+
+
+def test_assemble_compresses_rules_only_inside_volume_tables(monkeypatch):
+    # the benchmark's tracer times the records' build as local.volume_tables,
+    # so the build, whose cost is the compression, must run inside it
+    case = make_case("jump-mixed")
+    cm = build_cut_mesh(build_mesh(0), case.levelset, theta=0.3, r=4)
+    assert len(cm.pairing) > 0
+    depth, calls = [0], []
+    compress, volume_tables = local.compress_rule, LocalOperators.volume_tables
+
+    def counting_compress(*args):
+        calls.append(depth[0] > 0)
+        return compress(*args)
+
+    def nested(self, cid, i):
+        depth[0] += 1
+        try:
+            return volume_tables(self, cid, i)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(local, "compress_rule", counting_compress)
+    monkeypatch.setattr(LocalOperators, "volume_tables", nested)
+    assemble(cm, 3, kappa=case.kappa, case=case)
+    cut_sides = sum(len(cm.cells[cid].sides()) for cid in cm.cut_cells())
+    assert calls == [True] * cut_sides  # each cut sub-cell's rule, once
+
+
+def test_first_volume_tables_evaluates_the_monomials_three_times(monkeypatch):
+    # one evaluation on the merged volume rules gives the transforms and the
+    # basis values; the stacked faces take one more, and the receivers' q at
+    # their donors' face points a third; the first stack's records are then
+    # complete
+    case = make_case("jump-mixed")
+    cm = build_cut_mesh(build_mesh(0), case.levelset, theta=0.3, r=4)
+    assert any(cm.pairing.donors(cid, i) for cid, i in cm.ok_sides())
+    calls = [0]
+    monomial_values = local.monomial_values
+
+    def counting(*args):
+        calls[0] += 1
+        return monomial_values(*args)
+
+    monkeypatch.setattr(local, "monomial_values", counting)
+    ops = LocalOperators(cm, 3, case)
+    ops.volume_tables(*cm.sides()[0])
+    assert calls[0] == 3
+    plain = [key for key in cm.sides() if cm.is_plain(*key)]
+    for key in [key for key in cm.sides() if not cm.is_plain(*key)] + plain[:1]:
+        ops.cell_basis(*key), ops.face_tables(*key), ops.reconstruction_stencil(*key)
+    assert calls[0] == 3
+
+
+def test_every_accessor_returns_the_kept_record():
+    # a failing side, a cut side, the first plain sub-cell and two plain
+    # sub-cells outside the first stack
+    case = make_case("jump-mixed")
+    cm = build_cut_mesh(build_mesh(0), case.levelset, theta=0.3, r=4)
+    ops = LocalOperators(cm, 3, case)
+    plain = [key for key in cm.sides() if cm.is_plain(*key)]
+    assert len(plain) > 2
+    for key in [cm.ko_sides()[0], (cm.cut_cells()[0], 1), plain[0], plain[1], plain[-1]]:
+        for name in ("cell_basis", "volume_tables", "face_tables", "reconstruction_stencil"):
+            first = getattr(ops, name)(*key)
+            assert getattr(ops, name)(*key) is first, (name, key)
+        t = ops.volume_tables(*key)
+        assert all(a is b for a, b in zip(ops.volume_quadrature(*key), (t.pts, t.w))), key
+    # plain sub-cells share the first plain one's transform
+    assert np.array_equal(ops.cell_basis(*plain[1]).transform,
+                          ops.cell_basis(*plain[0]).transform)
 
 
 def test_error_pass_quadrature_is_the_tables_bit_for_bit():
