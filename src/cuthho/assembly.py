@@ -7,6 +7,12 @@ deletion with the boundary data moved to the right-hand side.  The cell
 block is block diagonal, one block per pairing group (connected component
 of the pairing graph), and static condensation eliminates every group
 through one block-diagonal inverse Cholesky factor of it.
+
+This module decides no local question itself: which sub-cells are plain
+is the cut mesh's mask ``CutMesh.plain``, every local matrix and table
+comes from ``LocalOperators``, and so do the face projections of the
+Dirichlet values and of the interpolant (``face_projections``), which
+are only written at their dofs through ``DofLayout`` here.
 """
 
 from __future__ import annotations
@@ -85,7 +91,7 @@ class DofLayout:
 class PlainCells:
     """Plain sub-cells as one reference element, for assembly and the energy error.
 
-    A plain sub-cell (``CutMesh.is_plain``) is an uncut square without
+    A plain sub-cell (``CutMesh.plain``) is an uncut square without
     donors.  Its basis is centred at the cell centre and scaled by h/2, so
     its stiffness, face penalty, load matrix and gradient table are the
     same on every plain sub-cell up to translation and round-off.  They
@@ -113,18 +119,18 @@ class PlainCells:
     def build(cls, ops: LocalOperators, layout: DofLayout,
               kappa: tuple[float, float]) -> "PlainCells | None":
         cm = ops.cm
-        found = [(cid, i) for cid, i in cm.sides() if cm.is_plain(cid, i)]
-        if not found:
+        cids = np.flatnonzero(cm.plain)
+        if not len(cids):
             return None
-        cids, sides = (np.array(v) for v in zip(*found))
-        cid0, i0 = found[0]
+        sides = np.array([cm.cells[c].side for c in cids])
+        cid0, i0 = int(cids[0]), int(sides[0])
         a, _, _, st = ops.stiffness_ok(cid0, i0, 1.0)
         s, st_s = ops.stab_circ(cid0, i0, 1.0)
         faces = np.stack(cm.mesh.cell_faces(cids), axis=1)  # (n, 4)
         assert st.keys == st_s.keys == [("c", cid0, i0)] + [
             ("f", int(f), i0) for f in faces[0]]
         t = ops.volume_tables(cid0, i0)
-        centers = np.array([cm.cells[c].barycenter[i] for c, i in found])
+        centers = np.array([cm.cells[c].barycenter[i] for c, i in zip(cids, sides)])
         nc, nf = layout.nc, layout.nf
         return cls(
             cids, sides, np.where(sides == 1, kappa[0], kappa[1]),
@@ -169,14 +175,6 @@ class PlainCells:
             diff = gh - grad_u(i, pts).reshape(gh.shape)
             total += float(self.kappa[sel] @ (np.sum(diff * diff, axis=2) @ self.w))
         return total
-
-
-def _plain_mask(cm: CutMesh, plain: PlainCells | None) -> np.ndarray:
-    """Whether each cell is plain; a plain cell has one sub-cell."""
-    mask = np.zeros(len(cm.cells), dtype=bool)
-    if plain is not None:
-        mask[plain.cids] = True
-    return mask
 
 
 @dataclass
@@ -285,9 +283,8 @@ def assemble(cm: CutMesh, k: int, kappa: tuple[float, float] = (1.0, 1.0),
     ops = LocalOperators(cm, k, case)
     layout = DofLayout.build(cm, k)
     plain = PlainCells.build(ops, layout, kappa)
-    is_plain = _plain_mask(cm, plain)
     stencils = {(cid, i): ops.reconstruction_stencil(cid, i)
-                for cid, i in cm.sides() if not is_plain[cid]}
+                for cid, i in cm.sides() if not cm.plain[cid]}
     n = sum(st.width**2 for st in stencils.values())
     n_plain = 0 if plain is None else len(plain.cids) * plain.a.size
     index = np.int32 if layout.n_total <= np.iinfo(np.int32).max else np.int64
@@ -336,28 +333,10 @@ def assemble(cm: CutMesh, k: int, kappa: tuple[float, float] = (1.0, 1.0),
 
     g = np.zeros(layout.n_total)
     if case is not None:
-        _project_on_faces(ops, layout, g, [fc for fc in cm.faces
-                                           if cm.mesh.is_boundary_face(fc.fid)], case.u)
+        boundary = [fid for fid in range(len(cm.faces)) if cm.mesh.is_boundary_face(fid)]
+        for (fid, i), p in ops.face_projections(boundary, case.u).items():
+            g[layout.indices(("f", fid, i))] = p
     return System(cm, k, kappa, eta, layout, a_mat, b, g, ops, plain)
-
-
-def _project_on_faces(ops: LocalOperators, layout: DofLayout, x: np.ndarray, faces,
-                      fn) -> None:
-    """Write into ``x`` the L2-projection of ``fn(i, pts)`` onto the
-    polynomials of each side i of each face of ``faces``.  The face basis
-    has Gram matrix h I, so a projection is its moments over h.  All face
-    sides take one stacked face rule, and ``fn`` is called once per side."""
-    sides = [(fc, i) for fc in faces for i in fc.sides()]
-    pts, w, chi = ops._face_rules(np.reshape([fc.segments[i] for fc, i in sides], (-1, 2, 2)))
-    side = np.array([i for _, i in sides])
-    values = np.zeros(w.shape)
-    for i in (1, 2):
-        sel = side == i
-        if sel.any():
-            values[sel] = fn(i, pts[sel].reshape(-1, 2)).reshape(-1, w.shape[1])
-    proj = (chi.swapaxes(1, 2) @ (w * values)[:, :, None])[:, :, 0] / ops.cm.mesh.h
-    for (fc, i), p in zip(sides, proj):
-        x[layout.indices(("f", fc.fid, i))] = p
 
 
 # ----------------------------------------------------------------------
@@ -545,11 +524,10 @@ def energy_error(system: System, x: np.ndarray, case) -> float:
     ops = system.ops
     plain = system.plain
     kap = {1: system.kappa[0], 2: system.kappa[1]}
-    is_plain = _plain_mask(system.cm, plain)
     if plain is not None:
         total += plain.energy_squared(x, case.grad_u)
     for cid, i in system.cm.sides():
-        if is_plain[cid]:
+        if system.cm.plain[cid]:
             continue
         t = ops.volume_tables(cid, i)
         coef = x[system.layout.indices(("c", cid, i))]
@@ -572,5 +550,7 @@ def interpolate_polynomial(cm: CutMesh, k: int, poly: dict) -> np.ndarray:
     x = np.zeros(layout.n_total)
     for cid, i in cm.sides():
         x[layout.indices(("c", cid, i))] = expand_in_basis(poly, ops.cell_basis(cid, i))
-    _project_on_faces(ops, layout, x, cm.faces, lambda i, pts: poly_eval(poly, pts))
+    trace = ops.face_projections(range(len(cm.faces)), lambda i, pts: poly_eval(poly, pts))
+    for (fid, i), p in trace.items():
+        x[layout.indices(("f", fid, i))] = p
     return x

@@ -26,7 +26,7 @@ import scipy.sparse as sp
 from . import study
 from .cases import available_cases, make_case
 from .errors import ConfigError, CutHHOError
-from .viz import dump_cuts
+from .viz import check_dump_path, dump_cuts
 
 
 def _int_list(text: str) -> list[int]:
@@ -133,8 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(args) -> None:
     _check_output_dirs(args.dump_cuts, args.export_matrix)
-    if args.dump_cuts and not args.dump_cuts.endswith((".svg", ".csv")):
-        raise ConfigError(f"--dump-cuts writes .svg or .csv, not {args.dump_cuts!r}")
+    if args.dump_cuts:
+        check_dump_path(args.dump_cuts)
     case = make_case(args.case, kappa2=args.kappa2)
     rec, system, _ = study.solve_single(
         case, args.k, args.level, r=args.r, theta=args.theta, eta=args.eta,

@@ -246,19 +246,10 @@ def _face_label(mesh: CartesianMesh, fid: int) -> str:
 def classify_faces(mesh: CartesianMesh, levelset: LevelSet,
                    vertex_sign: np.ndarray) -> list[FaceCut]:
     nf = mesh.n_faces
-    ends = np.array([mesh.face_endpoints(f) for f in range(nf)])
+    verts = mesh.vertices
+    ends = verts.points[verts.faces]
     p0, p1 = ends[:, 0], ends[:, 1]
-    n = mesh.n
-
-    # vertex ids of the endpoints, consistent with the cell-corner table
-    def vids(pts):
-        s = mesh.cell_size
-        ix = np.rint(pts[:, 0] / s).astype(int)
-        iy = np.rint(pts[:, 1] / s).astype(int)
-        return iy * (n + 1) + ix
-
-    s0 = vertex_sign[vids(p0)]
-    s1 = vertex_sign[vids(p1)]
+    s0, s1 = vertex_sign[verts.faces].T
 
     # guard against several crossings of one face.  A snapped endpoint
     # (sign 0) lies on the interface: it takes its inner neighbour's sign,
@@ -458,52 +449,30 @@ def _classify_cut_cell(mesh: CartesianMesh, levelset: LevelSet, cid: int,
 
 def build_cut_mesh(mesh: CartesianMesh, levelset: LevelSet, theta: float = 0.3,
                    r: int = 8) -> "CutMesh":
-    n = mesh.n
     s = mesh.cell_size
-    snap = SNAP_REL * s
+    verts = mesh.vertices
 
-    # shared vertex table keeps face and cell sign decisions consistent
-    vx = np.arange(n + 1) * s
-    VX, VY = np.meshgrid(vx, vx, indexing="xy")
-    vpts = np.column_stack([VX.ravel(), VY.ravel()])
+    # one vertex table keeps face and cell sign decisions consistent
     vertex_sign = _snapped_signs(
-        levelset.value(vpts), levelset.distance_estimate(vpts), snap
+        levelset.value(verts.points), levelset.distance_estimate(verts.points), SNAP_REL * s
     )
+    corner_sign = vertex_sign[verts.cells]
 
     face_cuts = classify_faces(mesh, levelset, vertex_sign)
+    cell_faces = np.stack(mesh.cell_faces(np.arange(mesh.n_cells)), axis=1)
+    cell_has_crossing = np.array([fc.cut for fc in face_cuts])[cell_faces].any(axis=1)
 
-    cell_has_crossing = np.zeros(mesh.n_cells, dtype=bool)
-    for fc in face_cuts:
-        if fc.cut:
-            for c in mesh.face_cells(fc.fid):
-                if c >= 0:
-                    cell_has_crossing[c] = True
-
-    # interior sample grid of every cell in one sweep
+    # interior sample grid of every cell in one sweep, from its lower-left corner
     offs = (np.arange(GRID_M) + 0.5) / GRID_M * s
-    OX, OY = np.meshgrid(offs, offs, indexing="xy")
-    cell_x0 = (np.arange(n) * s)[None, :].repeat(n, axis=0).ravel()
-    cell_y0 = (np.arange(n) * s)[:, None].repeat(n, axis=1).ravel()
-    gx = cell_x0[:, None] + OX.ravel()[None, :]
-    gy = cell_y0[:, None] + OY.ravel()[None, :]
-    gpts = np.stack([gx, gy], axis=2)  # (ncells, grid*grid, 2)
+    grid = np.stack(np.meshgrid(offs, offs), axis=-1).reshape(-1, 2)
+    gpts = verts.points[verts.cells[:, 0]][:, None] + grid  # (ncells, grid*grid, 2)
     gneg = levelset.value(gpts.reshape(-1, 2)).reshape(mesh.n_cells, -1) < 0
-
-    def corner_vids(cid):
-        ix, iy = mesh.cell_index(cid)
-        return [
-            iy * (n + 1) + ix,
-            iy * (n + 1) + ix + 1,
-            (iy + 1) * (n + 1) + ix + 1,
-            (iy + 1) * (n + 1) + ix,
-        ]
 
     # walk every cut cell first, keeping its error for the pass in cell order
     walks: dict[int, _Walk | GeometryError] = {}
     for cid in np.flatnonzero(cell_has_crossing).tolist():
         try:
-            walks[cid] = _walk_cut_cell(mesh, cid, face_cuts,
-                                        vertex_sign[corner_vids(cid)])
+            walks[cid] = _walk_cut_cell(mesh, cid, face_cuts, corner_sign[cid])
         except GeometryError as exc:
             walks[cid] = exc
     arcs = [cid for cid, w in walks.items() if isinstance(w, _Walk)]
@@ -514,9 +483,8 @@ def build_cut_mesh(mesh: CartesianMesh, levelset: LevelSet, theta: float = 0.3,
     for cid in range(mesh.n_cells):
         neg = gneg[cid]
         if not cell_has_crossing[cid]:
-            csign = vertex_sign[corner_vids(cid)]
-            has_neg = bool(neg.any() or (csign < 0).any())
-            has_pos = bool((~neg).any() or (csign > 0).any())
+            has_neg = bool(neg.any() or (corner_sign[cid] < 0).any())
+            has_pos = bool((~neg).any() or (corner_sign[cid] > 0).any())
             if has_neg and has_pos:
                 raise GeometryError(
                     f"cell {cid}: disconnected cut: interface loop inside an uncrossed cell"
@@ -624,6 +592,13 @@ class CutMesh:
     cells: list[CellCut]
     faces: list[FaceCut]
     pairing: PairingMap
+    plain: np.ndarray = field(init=False, repr=False)  # per cell; see is_plain
+
+    def __post_init__(self):
+        self.plain = np.array([
+            not c.is_cut and not self.pairing.donors(c.cid, c.side)
+            and all(c.side in self.faces[f].segments for f in self.mesh.cell_faces(c.cid))
+            for c in self.cells])
 
     def sides(self) -> list[tuple[int, int]]:
         """All sub-cells (cid, i), the discretization support."""
@@ -646,10 +621,11 @@ class CutMesh:
         """Whether (cid, i) is a plain sub-cell: a translated reference square.
 
         That is an uncut cell without donors whose four faces all lie on
-        its side, so its stencil is the cell and its four whole faces.
+        its side, so its stencil is the cell and its four whole faces.  The
+        mask ``plain`` holds this for every cell, made once with the cut
+        mesh; a plain cell has one sub-cell.
         """
-        return (not self.cells[cid].is_cut and not self.pairing.donors(cid, i)
-                and all(i in self.faces[f].segments for f in self.mesh.cell_faces(cid)))
+        return bool(self.plain[cid]) and i == self.cells[cid].side
 
     def cut_cells(self) -> list[int]:
         return [c.cid for c in self.cells if c.is_cut]

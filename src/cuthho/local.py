@@ -20,9 +20,11 @@ whose mass matrix is |T^i| I, so G = B / |T^i| needs no solve.  Each
 sub-face has Legendre polynomials of its arc length, scaled so that
 their Gram matrix is h I, so the face projections need no solve either;
 ``face_rule`` gives their values at the sub-face's Gauss points from one
-reference table.  Scaled this way, cond(A) no longer grows as a cut
-shrinks; the stiffness B^T M^-1 B, the lifting and the discrete
-solution do not depend on the basis.
+reference table, and ``face_projections`` projects data on a set of
+faces (the Dirichlet values and the interpolant).  Nothing outside this
+module scales by h or evaluates a face rule.  Scaled this way, cond(A)
+no longer grows as a cut shrinks; the stiffness B^T M^-1 B, the lifting
+and the discrete solution do not depend on the basis.
 
 Everything built here is kept for the lifetime of the operators.  Each
 sub-cell has one record, a ``SubCell``: its cell basis, its volume
@@ -30,17 +32,18 @@ tables (its quadrature with the values and gradients of its cell basis,
 which the operators and ``energy_error`` read), its face tables (the
 projection and flux products of its sub-faces, and on a receiving side
 of its donors' sub-faces, which ``gradient_rhs`` and ``stab_circ``
-read) and its reconstruction stencil.  The records are built in two
-stacks (see ``_build``): the first call builds every sub-cell that is
-not plain and the first plain one; the first call for any other plain
-sub-cell builds all of those, which share the first plain one's
-transform.  Each cut cell keeps its interface tables, the few products
-over its arc that the interface terms read.  No volume fan rule, face
-rule or interface rule is kept.  The load and lifting terms take their
-data from the case the operators are built with.  ``assemble`` calls
-these operators only for the sub-cells that are not plain (see
-``CutMesh.is_plain``) and once for the reference element that stands
-for all plain ones.
+read), its reconstruction stencil and, on side 1 of a cut cell, the
+cell's interface tables (the few products over its arc that the
+interface terms read).  Every table is built in one of two stacks,
+entered only through ``volume_tables`` (see ``_build``): the first call
+builds every sub-cell that is not plain and the first plain one; the
+first call for any other plain sub-cell builds all of those, which share
+the first plain one's transform.  Which sub-cells are plain is the cut
+mesh's mask ``CutMesh.plain``.  No volume fan rule, face rule or
+interface rule is kept.  The load and lifting terms take their data
+from the case the operators are built with.  ``assemble`` calls these
+operators only for the sub-cells that are not plain and once for the
+reference element that stands for all plain ones.
 
 Dof blocks are addressed by keys ('c', cid, side) and ('f', fid, side).
 Every operator of a sub-cell (T, i) is returned on its reconstruction
@@ -227,6 +230,7 @@ class SubCell:
     tables: VolumeTables
     faces: FaceTables
     stencil: Stencil
+    interface: InterfaceTables | None = None  # on side 1 of a cut cell
 
 
 class LocalOperators:
@@ -244,7 +248,6 @@ class LocalOperators:
         self._face_ref = (legvander(gauss_1d(self._gauss_n)[0], k)
                           * np.sqrt(2 * np.arange(k + 1) + 1))
         self._subcells: dict[tuple[int, int], SubCell] = {}
-        self._iface_tables: dict[int, InterfaceTables] = {}
 
     # -- the kept records of the sub-cells ----------------------------
 
@@ -262,17 +265,17 @@ class LocalOperators:
         gradients; the gradients have the bits of ``OrthonormalBasis.grad``.
 
         The first call builds the records of every sub-cell that is not
-        plain and of the first plain one as one stack; the first call for
-        any other plain sub-cell builds all of those as a second stack, with
-        the first plain one's transform, plain sub-cells being translates of
-        one another.
+        plain (``CutMesh.plain``) and of the first plain one as one stack;
+        the first call for any other plain sub-cell builds all of those as a
+        second stack, with the first plain one's transform, plain sub-cells
+        being translates of one another.
         """
         rec = self._subcells.get((cid, i))
         if rec is None:
             cm = self.cm
-            plain = [key for key in cm.sides() if cm.is_plain(*key)]
+            plain = [(int(c), cm.cells[c].side) for c in np.flatnonzero(cm.plain)]
             if not self._subcells:
-                self._build([key for key in cm.sides() if not cm.is_plain(*key)] + plain[:1])
+                self._build([key for key in cm.sides() if not cm.plain[key[0]]] + plain[:1])
             if (cid, i) not in self._subcells:
                 self._build(plain[1:], self._subcells[plain[0]].basis.transform)
             rec = self._subcells[cid, i]
@@ -335,6 +338,8 @@ class LocalOperators:
            that lists each stencil's blocks and the face stack: one stacked
            face rule and basis evaluation, then the face products by batched
            matmul.
+        5. Each cut cell's interface tables, one cell at a time, kept on its
+           side-1 record; the bases they evaluate are all in this stack.
         """
         cm, k, ng = self.cm, self.k, self.ng
         rules = {}
@@ -409,6 +414,9 @@ class LocalOperators:
                 VolumeTables(*rules[key], ek1[j, :n], dek1[j, :n]),
                 FaceTables(owners[lo:hi], fids[lo:hi], proj[lo:own], flux[lo:hi]),
                 stencils[j])
+        for cid, i in keys:
+            if i == 1 and cm.cells[cid].is_cut:
+                self._subcells[cid, 1].interface = self._interface_tables(cid)
 
     def _monomials(self, cid: int, i: int) -> CellBasis:
         """Monomials of degree k+1 centered at the barycenter of (cid, i)
@@ -441,28 +449,30 @@ class LocalOperators:
         return pts, w.ravel(), self.cm.levelset.normals(pts)
 
     def interface_tables(self, cid: int) -> InterfaceTables:
-        """Integrals over cut cell cid's interface arc, built on the first
-        call and kept.  psi1, psi2 and q (the first dim P_k functions of
-        psi1, or on a side-1 donor its receiver's ``lower(k)``) are
-        evaluated once on the interface rule, which is not kept."""
-        t = self._iface_tables.get(cid)
-        if t is None:
-            pts, w, nrm = self.interface_quadrature(cid)
-            psi1 = self.cell_basis(cid, 1).eval(pts)
-            psi2 = self.cell_basis(cid, 2).eval(pts)
-            q = (self.cell_basis(self.cm.partner_of(cid), 1).lower(self.k).eval(pts)
-                 if self.cm.is_ko(cid, 1) else psi1[:, :self.ng])
-            g_d, g_n = getattr(self.case, "g_D", None), getattr(self.case, "g_N", None)
-            gd = g_d(pts) if g_d is not None else np.zeros(len(w))
-            gn = g_n(pts, nrm) if g_n is not None else np.zeros(len(w))
-            wn = [(w * nrm[:, d])[:, None] for d in (0, 1)]
-            jmp = np.hstack([psi1, -psi2])
-            t = self._iface_tables[cid] = InterfaceTables(
-                jmp.T @ (w[:, None] * jmp),
-                np.vstack([np.hstack([q.T @ (x * psi1), q.T @ (x * psi2)]) for x in wn]),
-                np.concatenate([q.T @ (w * gd * nrm[:, d]) for d in (0, 1)]),
-                np.stack([psi1.T @ (w * gd), psi2.T @ (w * gd), psi2.T @ (w * gn)]))
-        return t
+        """Integrals over cut cell cid's interface arc, kept on its side-1
+        record."""
+        return self._record(cid, 1).interface
+
+    def _interface_tables(self, cid: int) -> InterfaceTables:
+        """Build ``interface_tables(cid)``.  psi1, psi2 and q (the first
+        dim P_k functions of psi1, or on a side-1 donor its receiver's
+        ``lower(k)``) are evaluated once on the interface rule, which is
+        not kept."""
+        pts, w, nrm = self.interface_quadrature(cid)
+        psi1 = self.cell_basis(cid, 1).eval(pts)
+        psi2 = self.cell_basis(cid, 2).eval(pts)
+        q = (self.cell_basis(self.cm.partner_of(cid), 1).lower(self.k).eval(pts)
+             if self.cm.is_ko(cid, 1) else psi1[:, :self.ng])
+        g_d, g_n = getattr(self.case, "g_D", None), getattr(self.case, "g_N", None)
+        gd = g_d(pts) if g_d is not None else np.zeros(len(w))
+        gn = g_n(pts, nrm) if g_n is not None else np.zeros(len(w))
+        wn = [(w * nrm[:, d])[:, None] for d in (0, 1)]
+        jmp = np.hstack([psi1, -psi2])
+        return InterfaceTables(
+            jmp.T @ (w[:, None] * jmp),
+            np.vstack([np.hstack([q.T @ (x * psi1), q.T @ (x * psi2)]) for x in wn]),
+            np.concatenate([q.T @ (w * gd * nrm[:, d]) for d in (0, 1)]),
+            np.stack([psi1.T @ (w * gd), psi2.T @ (w * gd), psi2.T @ (w * gn)]))
 
     def face_rule(self, seg: np.ndarray):
         """Gauss points and weights of sub-face ``seg`` and the values there
@@ -471,6 +481,27 @@ class LocalOperators:
         |F| the sum of the weights.  A zero-length segment has no points."""
         pts, w, chi = (v[0] for v in self._face_rules(np.asarray(seg, dtype=float)[None]))
         return (pts, w, chi) if w.any() else (pts[:0], w[:0], chi[:0])
+
+    def face_projections(self, fids, fn) -> dict[tuple[int, int], np.ndarray]:
+        """Coefficients of the L2-projection of ``fn(i, pts)`` onto the
+        polynomials of each side i of each face of ``fids``, keyed (fid, i).
+
+        The face basis has Gram matrix h I, so a projection is its moments
+        over h.  All face sides take one stacked face rule, and ``fn`` is
+        called once per side i.
+        """
+        faces = self.cm.faces
+        sides = [(fid, i) for fid in fids for i in faces[fid].sides()]
+        pts, w, chi = self._face_rules(np.reshape([faces[fid].segments[i] for fid, i in sides],
+                                                  (-1, 2, 2)))
+        side = np.array([i for _, i in sides])
+        values = np.zeros(w.shape)
+        for i in (1, 2):
+            sel = side == i
+            if sel.any():
+                values[sel] = fn(i, pts[sel].reshape(-1, 2)).reshape(-1, w.shape[1])
+        proj = (chi.swapaxes(1, 2) @ (w * values)[:, :, None])[:, :, 0] / self.cm.mesh.h
+        return dict(zip(sides, proj))
 
     def _face_rules(self, segs: np.ndarray):
         """``face_rule`` of a stack of sub-faces ``segs`` (n, 2, 2): points

@@ -3,20 +3,31 @@
 Cells are axis-aligned squares indexed row-major, ``cid = iy*n + ix``.
 Faces are numbered with all vertical faces first (``fid = iy*(n+1) + ix``
 for the face on gridline ``x = ix*s``), then all horizontal faces
-(``fid = n*(n+1) + iy*n + ix``).  Neighborhood layers use vertex
-adjacency, so the first layer of an interior cell is its 3x3 block.
+(``fid = n*(n+1) + iy*n + ix``).  Vertices are numbered row-major too,
+``vid = iy*(n+1) + ix`` at ``(ix*s, iy*s)``; ``vertices`` is the one
+table of them.  Neighborhood layers use vertex adjacency, so the first
+layer of an interior cell is its 3x3 block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError
 
 MAX_LEVEL = 10
+
+
+class Vertices(NamedTuple):
+    """The mesh vertices: coordinates and the ids that faces and cells use."""
+
+    points: np.ndarray  # ((n+1)^2, 2), vertex iy*(n+1) + ix at (ix*s, iy*s)
+    faces: np.ndarray  # (n_faces, 2) endpoint ids, in face_endpoints order
+    cells: np.ndarray  # (n_cells, 4) corner ids, in cell_vertices order
 
 
 @dataclass(frozen=True)
@@ -44,6 +55,18 @@ class CartesianMesh:
     @property
     def n_faces(self) -> int:
         return 2 * self.n * (self.n + 1)
+
+    @cached_property
+    def vertices(self) -> Vertices:
+        n = self.n
+        ids = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)  # [iy, ix]
+        v = np.arange(n + 1) * self.cell_size
+        return Vertices(
+            np.stack(np.meshgrid(v, v), axis=-1).reshape(-1, 2),
+            np.concatenate([np.stack([ids[:-1], ids[1:]], axis=-1).reshape(-1, 2),
+                            np.stack([ids[:, :-1], ids[:, 1:]], axis=-1).reshape(-1, 2)]),
+            np.stack([ids[:-1, :-1], ids[:-1, 1:], ids[1:, 1:], ids[1:, :-1]],
+                     axis=-1).reshape(-1, 4))
 
     # -- cells ---------------------------------------------------------
 

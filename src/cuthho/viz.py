@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from .errors import ConfigError
 from .geometry import ILL_CUT, UNCUT, WELL_CUT, CutMesh
 
 _FILL = {
@@ -68,7 +69,19 @@ def dump_cuts_csv(cm: CutMesh, path: str) -> None:
             fh.write(f"{c.cid},{c.kind},{c.side or ''},{partner},{poly}\n")
 
 
+def check_dump_path(path: str) -> None:
+    """Raise a ConfigError unless ``path`` ends in .svg or .csv, the two
+    formats of ``dump_cuts``; it needs no geometry, so a caller can check
+    a path before building any."""
+    if not path.endswith((".svg", ".csv")):
+        raise ConfigError(f"a cut dump path must end in .svg or .csv, got {path!r}")
+
+
 def dump_cuts(cm: CutMesh, path: str) -> None:
+    """Write the cut topology as a CSV table to a .csv path, as an SVG
+    picture to a .svg path; any other path raises a ConfigError and
+    writes nothing."""
+    check_dump_path(path)
     if path.endswith(".csv"):
         dump_cuts_csv(cm, path)
     else:

@@ -19,6 +19,7 @@ from cuthho.cli import main
 from cuthho.errors import ConfigError, GeometryError
 from cuthho.geometry import build_cut_mesh
 from cuthho.levelset import Circle, interface_clear_of_boundary
+from cuthho.mesh import build_mesh
 from cuthho.study import (
     CSV_COLUMNS,
     conditioning_study,
@@ -26,6 +27,7 @@ from cuthho.study import (
     records_to_csv,
     solve_single,
 )
+from cuthho.viz import dump_cuts
 
 RNG = np.random.default_rng(5)
 
@@ -324,6 +326,14 @@ def test_cli_dumps_and_matrix_export(tmp_path):
     assert mtx.read_text().startswith("%%MatrixMarket")
 
 
+@pytest.mark.parametrize("name", ["cuts.png", "cuts", "cuts.svg.txt"])
+def test_dump_cuts_rejects_other_suffixes_and_writes_nothing(name, tmp_path):
+    cm = build_cut_mesh(build_mesh(0), Circle((0.5, 0.5), 1.0 / 3.0), theta=0.3, r=2)
+    with pytest.raises(ConfigError, match="must end in .svg or .csv"):
+        dump_cuts(cm, str(tmp_path / name))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_exit_code_numerical_failure(capsys):
     # theta close to 1 makes central cuts fail on both sides
     code = main(["solve", "--case", "sinsin", "--k", "0", "--level", "0",
@@ -428,7 +438,7 @@ def test_cli_rejects_empty_or_reversed_lists(argv, tmp_path, capsys):
     *[(["study", "conditioning", "--interface", "square", f"--sweep={p}"],
        f"square[p={p}]: the exponent p must be an integer >= 1") for p in (-400, 0)],
     (["solve", "--case", "sinsin", "--k", "1", "--level", "0",
-      "--dump-cuts", "{tmp}/cuts.png"], "--dump-cuts writes .svg or .csv"),
+      "--dump-cuts", "{tmp}/cuts.png"], "a cut dump path must end in .svg or .csv"),
 ])
 def test_cli_bad_r_or_eta_rejected_before_geometry(argv, message, monkeypatch, capsys,
                                                     tmp_path):

@@ -26,7 +26,7 @@ from cuthho.basis import CellBasis, expand_in_basis, poly_diff
 from cuthho.cases import make_case
 from cuthho.errors import NumericalError
 from cuthho.geometry import build_cut_mesh
-from cuthho.levelset import Circle, Line
+from cuthho.levelset import Circle, Line, Square
 from cuthho.local import LocalOperators, orthonormal_basis
 from cuthho.mesh import build_mesh
 from cuthho.study import solve_single
@@ -309,12 +309,14 @@ def test_assemble_builds_every_sub_face_rule_in_one_stack(monkeypatch):
 
 def test_assemble_compresses_rules_only_inside_volume_tables(monkeypatch):
     # the benchmark's tracer times the records' build as local.volume_tables,
-    # so the build, whose cost is the compression, must run inside it
+    # so the build, whose cost is the compression and the interface tables,
+    # must run inside it
     case = make_case("jump-mixed")
     cm = build_cut_mesh(build_mesh(0), case.levelset, theta=0.3, r=4)
     assert len(cm.pairing) > 0
-    depth, calls = [0], []
+    depth, calls, arcs = [0], [], []
     compress, volume_tables = local.compress_rule, LocalOperators.volume_tables
+    interface_quadrature = LocalOperators.interface_quadrature
 
     def counting_compress(*args):
         calls.append(depth[0] > 0)
@@ -327,11 +329,18 @@ def test_assemble_compresses_rules_only_inside_volume_tables(monkeypatch):
         finally:
             depth[0] -= 1
 
+    def counting_interface(self, cid):
+        arcs.append((cid, depth[0] > 0))
+        return interface_quadrature(self, cid)
+
     monkeypatch.setattr(local, "compress_rule", counting_compress)
     monkeypatch.setattr(LocalOperators, "volume_tables", nested)
+    monkeypatch.setattr(LocalOperators, "interface_quadrature", counting_interface)
     assemble(cm, 3, kappa=case.kappa, case=case)
     cut_sides = sum(len(cm.cells[cid].sides()) for cid in cm.cut_cells())
     assert calls == [True] * cut_sides  # each cut sub-cell's rule, once
+    # and each cut cell's interface tables, on its arc's rule, once
+    assert arcs == [(cid, True) for cid in cm.cut_cells()]
 
 
 def test_first_volume_tables_evaluates_the_monomials_three_times(monkeypatch):
@@ -390,16 +399,31 @@ def test_error_pass_quadrature_is_the_tables_bit_for_bit():
         assert np.array_equal(ops.cell_basis(cid, i).grad(pts), t.dek1)
 
 
+def is_plain_oracle(cm, cid, i):
+    """The three-clause rule for one sub-cell: an uncut cell without donors
+    on side i, whose four faces all lie on side i."""
+    return (not cm.cells[cid].is_cut and not cm.pairing.donors(cid, i)
+            and all(i in cm.faces[f].segments for f in cm.mesh.cell_faces(cid)))
+
+
 @pytest.mark.parametrize("k", range(4))
-@pytest.mark.parametrize("name,level", [("sinsin", 1), ("jump-mixed", 0)])
+@pytest.mark.parametrize("name,level", [("sinsin", 1), ("jump-mixed", 0), ("square", 1)])
 def test_plain_sub_cells_match_the_reference_element(name, level, k):
     # the reference path rests on this: every plain sub-cell's blocks are the
     # first plain sub-cell's, and its stencil is the cell, then its four faces
-    # in mesh.cell_faces order
-    case = make_case(name)
-    cm = build_cut_mesh(build_mesh(level), case.levelset, theta=0.3, r=4)
+    # in mesh.cell_faces order; the cut mesh's plain mask is the three-clause
+    # rule on every sub-cell
+    if name == "square":
+        levelset, kappa = Square(delta=0.5e-2), (1.0, 1.0)
+    else:
+        case = make_case(name)
+        levelset, kappa = case.levelset, case.kappa
+    cm = build_cut_mesh(build_mesh(level), levelset, theta=0.3, r=4)
+    assert [cm.is_plain(c, i) for c, i in cm.sides()] == [
+        is_plain_oracle(cm, c, i) for c, i in cm.sides()]
+    assert len(cm.pairing) > 0 and 0 < cm.plain.sum() < len(cm.cells)
     ops = LocalOperators(cm, k)
-    plain = PlainCells.build(ops, DofLayout.build(cm, k), case.kappa)
+    plain = PlainCells.build(ops, DofLayout.build(cm, k), kappa)
     assert [(c, i) for c, i in zip(plain.cids, plain.sides)] == [
         (c, i) for c, i in cm.sides() if cm.is_plain(c, i)]
     cid0, i0 = plain.cids[0], plain.sides[0]

@@ -95,3 +95,18 @@ def test_neighborhood_properties(level, data):
     assert cid in nb
     assert len(nb) in (4, 6, 9)
     assert len(set(nb.tolist())) == len(nb)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_vertex_table_numbers_every_face_and_cell_corner(level):
+    # the one vertex numbering: coordinates, face endpoints and CCW cell
+    # corners, bit for bit those of face_endpoints and cell_vertices
+    m = build_mesh(level)
+    v = m.vertices
+    assert v.points.shape == ((m.n + 1) ** 2, 2)
+    assert v.faces.shape == (m.n_faces, 2) and v.cells.shape == (m.n_cells, 4)
+    ends = np.array([m.face_endpoints(f) for f in range(m.n_faces)])
+    corners = np.array([m.cell_vertices(c) for c in range(m.n_cells)])
+    assert v.points[v.faces].tobytes() == ends.tobytes()
+    assert v.points[v.cells].tobytes() == corners.tobytes()
+    assert len(np.unique(v.points, axis=0)) == len(v.points)  # one id a vertex
