@@ -28,7 +28,7 @@ from .errors import (
 from .geometry import (
     CellCut,
     CutMesh,
-    FaceCut,
+    FaceCuts,
     PairingMap,
     build_cut_mesh,
     build_pairing,

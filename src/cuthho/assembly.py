@@ -54,24 +54,20 @@ class DofLayout:
         nc = space_dimension(k + 1)
         nf = k + 1
         cell_offset = np.full((len(cm.cells), 3), -1)
-        face_offset = np.full((len(cm.faces), 3), -1)
-        off = 0
-        for c in cm.cells:
-            for i in c.sides():
-                cell_offset[c.cid, i] = off
-                off += nc
-        n_cell = off
-        for fc in cm.faces:
-            for i in fc.sides():
-                face_offset[fc.fid, i] = off
-                off += nf
-        dirichlet = np.zeros(off, dtype=bool)
-        for fc in cm.faces:
-            if cm.mesh.is_boundary_face(fc.fid):
-                for i in fc.sides():
-                    o = face_offset[fc.fid, i]
-                    dirichlet[o : o + nf] = True
-        return cls(cell_offset, face_offset, nc, nf, n_cell, off, dirichlet)
+        face_offset = np.full((cm.mesh.n_faces, 3), -1)
+        cid, ci = np.array(cm.sides()).T  # by cell, then side
+        cell_offset[cid, ci] = nc * np.arange(len(cid))
+        n_cell = nc * len(cid)
+        fid, fi = np.nonzero(cm.faces.sides)  # by face, then side
+        face_offset[fid, fi] = n_cell + nf * np.arange(len(fid))
+        dirichlet = np.concatenate([np.zeros(n_cell, dtype=bool),
+                                    np.repeat(cm.mesh.boundary_faces[fid], nf)])
+        return cls(cell_offset, face_offset, nc, nf, n_cell, len(dirichlet), dirichlet)
+
+    def face_dofs(self, fids, sides) -> np.ndarray:
+        """Dofs of the side-i blocks of faces, (..., nf) for broadcast ids
+        and sides."""
+        return self.face_offset[fids, sides][..., None] + np.arange(self.nf)
 
     def indices(self, key: Key) -> np.ndarray:
         kind, ident, i = key
@@ -135,8 +131,7 @@ class PlainCells:
         return cls(
             cids, sides, np.where(sides == 1, kappa[0], kappa[1]),
             layout.cell_offset[cids, sides][:, None] + np.arange(nc),
-            (layout.face_offset[faces, sides[:, None]][:, :, None]
-             + np.arange(nf)).reshape(len(cids), 4 * nf),
+            layout.face_dofs(faces, sides[:, None]).reshape(len(cids), 4 * nf),
             a + s, centers, t.pts - centers[0], t.w, t.ek1, t.dek1)
 
     @property
@@ -303,10 +298,9 @@ def assemble(cm: CutMesh, k: int, kappa: tuple[float, float] = (1.0, 1.0),
             a = ops.stiffness_ko(cid, i, kap[i])[0]
         else:
             a, _, bmat, _ = ops.stiffness_ok(cid, i, kap[i])
-            donors = cm.pairing.donors(cid, i)
-            if i == 1 and g_d is not None and (cm.cells[cid].is_cut or donors):
+            if g_d is not None and ops.interface_arcs(cid, i):
                 b[idx] -= kappa[0] * (bmat.T @ ops.lifting_coefficients(cid))
-            for donor in donors:
+            for donor in cm.pairing.donors(cid, i):
                 a += ops.stab_pairing(cid, i, donor, kap[i], eta)[0]
         a += ops.stab_circ(cid, i, kap[i])[0]
         if i == 1 and cm.cells[cid].is_cut:
@@ -333,9 +327,8 @@ def assemble(cm: CutMesh, k: int, kappa: tuple[float, float] = (1.0, 1.0),
 
     g = np.zeros(layout.n_total)
     if case is not None:
-        boundary = [fid for fid in range(len(cm.faces)) if cm.mesh.is_boundary_face(fid)]
-        for (fid, i), p in ops.face_projections(boundary, case.u).items():
-            g[layout.indices(("f", fid, i))] = p
+        fid, i, p = ops.face_projections(cm.mesh.boundary_faces, case.u)
+        g[layout.face_dofs(fid, i)] = p
     return System(cm, k, kappa, eta, layout, a_mat, b, g, ops, plain)
 
 
@@ -550,7 +543,7 @@ def interpolate_polynomial(cm: CutMesh, k: int, poly: dict) -> np.ndarray:
     x = np.zeros(layout.n_total)
     for cid, i in cm.sides():
         x[layout.indices(("c", cid, i))] = expand_in_basis(poly, ops.cell_basis(cid, i))
-    trace = ops.face_projections(range(len(cm.faces)), lambda i, pts: poly_eval(poly, pts))
-    for (fid, i), p in trace.items():
-        x[layout.indices(("f", fid, i))] = p
+    fid, i, p = ops.face_projections(np.full(cm.mesh.n_faces, True),
+                                     lambda i, pts: poly_eval(poly, pts))
+    x[layout.face_dofs(fid, i)] = p
     return x

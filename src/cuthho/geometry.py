@@ -1,12 +1,14 @@
 """Cut geometry on a Cartesian background mesh.
 
 Builds, for a given level set, the complete cut description the solver
-needs: per-face crossing points and sub-face segments, per-cell interface
-polylines (2**r chords obtained by recursive midpoint projection onto the
-zero set), sub-cell triangulations used for quadrature, inscribed-radius
-estimates driving the well-cut / ill-cut classification, and the pairing
-map that assigns every ill-cut cell a neighbor with a usable sub-cell on
-the failing side.
+needs: every face's cut as one table (``FaceCuts``: whether the interface
+crosses the face, where, and the part of the face on each side, made by
+array operations over all faces), per-cell interface polylines (2**r
+chords obtained by recursive midpoint projection onto the zero set),
+sub-cell triangulations used for quadrature, inscribed-radius estimates
+driving the well-cut / ill-cut classification, and the pairing map that
+assigns every ill-cut cell a neighbor with a usable sub-cell on the
+failing side.
 
 The polyline refinement is batched over cells: ``build_cut_mesh`` walks
 the boundary of every cut cell first, then refines the polylines of all
@@ -220,15 +222,14 @@ def triangulate_polygon(poly: np.ndarray, cell_area: float,
 # faces
 # ----------------------------------------------------------------------
 
-@dataclass
-class FaceCut:
-    fid: int
-    cut: bool
-    point: np.ndarray | None
-    segments: dict[int, np.ndarray]  # side -> (2, 2) endpoints
+class FaceCuts(NamedTuple):
+    """Every face's cut, one row a face.  The side axis has column 0 unused,
+    so sides index it directly; an absent part is NaN."""
 
-    def sides(self) -> tuple[int, ...]:
-        return tuple(sorted(self.segments))
+    crossed: np.ndarray  # (n_faces,) bool, the interface crosses the face
+    point: np.ndarray  # (n_faces, 2), the crossing point
+    sides: np.ndarray  # (n_faces, 3) bool, the face has a part on side i
+    segments: np.ndarray  # (n_faces, 3, 2, 2), the endpoints of the part on side i
 
 
 def _snapped_signs(values: np.ndarray, dist_est: np.ndarray, tol: float) -> np.ndarray:
@@ -244,7 +245,7 @@ def _face_label(mesh: CartesianMesh, fid: int) -> str:
 
 
 def classify_faces(mesh: CartesianMesh, levelset: LevelSet,
-                   vertex_sign: np.ndarray) -> list[FaceCut]:
+                   vertex_sign: np.ndarray) -> FaceCuts:
     nf = mesh.n_faces
     verts = mesh.vertices
     ends = verts.points[verts.faces]
@@ -269,31 +270,28 @@ def classify_faces(mesh: CartesianMesh, levelset: LevelSet,
             f"{_face_label(mesh, int(multi[0]))}: disconnected cut: face crossed more than once"
         )
 
-    roots = np.zeros((nf, 2))
+    point = np.full((nf, 2), np.nan)
     if np.any(crossed):
-        roots[crossed] = bisect_segments(p0[crossed], p1[crossed], levelset)
+        point[crossed] = bisect_segments(p0[crossed], p1[crossed], levelset)
 
-    faces = []
+    # an uncrossed face lies on the side of its unsnapped ends, or of its
+    # middle when both ends are snapped
     mids = 0.5 * (p0 + p1)
     vmid = levelset.value(mids)
     on_interface = levelset.distance_estimate(mids) <= SNAP_REL * mesh.cell_size
-    for f in range(nf):
-        if crossed[f]:
-            x = roots[f]
-            segs = {}
-            segs[1 if s0[f] < 0 else 2] = np.vstack([p0[f], x])
-            segs[1 if s1[f] < 0 else 2] = np.vstack([x, p1[f]])
-            faces.append(FaceCut(f, True, x, segs))
-        else:
-            ssum = int(s0[f]) + int(s1[f])
-            if ssum != 0:
-                side = 1 if ssum < 0 else 2
-            elif not on_interface[f]:  # both ends snapped, the middle is not
-                side = 1 if vmid[f] < 0 else 2
-            else:
-                raise GeometryError(f"{_face_label(mesh, f)}: face lies on the interface")
-            faces.append(FaceCut(f, False, None, {side: ends[f]}))
-    return faces
+    ssum = s0 + s1
+    flat = np.flatnonzero(~crossed & (ssum == 0) & on_interface)
+    if len(flat):
+        raise GeometryError(f"{_face_label(mesh, int(flat[0]))}: face lies on the interface")
+    side = np.where(ssum != 0, np.where(ssum < 0, 1, 2), np.where(vmid < 0, 1, 2))
+
+    # a crossed face has a part on each side, from each end to the crossing
+    segments = np.full((nf, 3, 2, 2), np.nan)
+    u, c = np.flatnonzero(~crossed), np.flatnonzero(crossed)
+    segments[u, side[u]] = ends[u]
+    segments[c, np.where(s0[c] < 0, 1, 2)] = np.stack([p0[c], point[c]], axis=1)
+    segments[c, np.where(s1[c] < 0, 1, 2)] = np.stack([point[c], p1[c]], axis=1)
+    return FaceCuts(crossed, point, ~np.isnan(segments[..., 0, 0]), segments)
 
 
 # ----------------------------------------------------------------------
@@ -367,7 +365,7 @@ class _Walk(NamedTuple):
     chain2: list[np.ndarray]
 
 
-def _walk_cut_cell(mesh: CartesianMesh, cid: int, face_cuts: list[FaceCut],
+def _walk_cut_cell(mesh: CartesianMesh, cid: int, faces: FaceCuts,
                    corner_sign: np.ndarray) -> _Walk:
     corners = mesh.cell_vertices(cid)
     left, right, bottom, top = mesh.cell_faces(cid)
@@ -377,9 +375,8 @@ def _walk_cut_cell(mesh: CartesianMesh, cid: int, face_cuts: list[FaceCut],
     ncross = 0
     for j in range(4):
         entries.append(("corner", corners[j], int(corner_sign[j])))
-        fc = face_cuts[walk_faces[j]]
-        if fc.cut:
-            entries.append(("cross", fc.point, 0))
+        if faces.crossed[walk_faces[j]]:
+            entries.append(("cross", faces.point[walk_faces[j]], 0))
             ncross += 1
     if ncross != 2:
         raise GeometryError("disconnected cut: expected two boundary crossings")
@@ -458,9 +455,9 @@ def build_cut_mesh(mesh: CartesianMesh, levelset: LevelSet, theta: float = 0.3,
     )
     corner_sign = vertex_sign[verts.cells]
 
-    face_cuts = classify_faces(mesh, levelset, vertex_sign)
+    faces = classify_faces(mesh, levelset, vertex_sign)
     cell_faces = np.stack(mesh.cell_faces(np.arange(mesh.n_cells)), axis=1)
-    cell_has_crossing = np.array([fc.cut for fc in face_cuts])[cell_faces].any(axis=1)
+    cell_has_crossing = faces.crossed[cell_faces].any(axis=1)
 
     # interior sample grid of every cell in one sweep, from its lower-left corner
     offs = (np.arange(GRID_M) + 0.5) / GRID_M * s
@@ -472,7 +469,7 @@ def build_cut_mesh(mesh: CartesianMesh, levelset: LevelSet, theta: float = 0.3,
     walks: dict[int, _Walk | GeometryError] = {}
     for cid in np.flatnonzero(cell_has_crossing).tolist():
         try:
-            walks[cid] = _walk_cut_cell(mesh, cid, face_cuts, corner_sign[cid])
+            walks[cid] = _walk_cut_cell(mesh, cid, faces, corner_sign[cid])
         except GeometryError as exc:
             walks[cid] = exc
     arcs = [cid for cid, w in walks.items() if isinstance(w, _Walk)]
@@ -508,7 +505,7 @@ def build_cut_mesh(mesh: CartesianMesh, levelset: LevelSet, theta: float = 0.3,
                 raise GeometryError(f"cell {cid}: {exc}") from exc
 
     pairing = build_pairing(mesh, cells)
-    return CutMesh(mesh, levelset, theta, r, cells, face_cuts, pairing)
+    return CutMesh(mesh, levelset, theta, r, cells, faces, pairing)
 
 
 # ----------------------------------------------------------------------
@@ -590,15 +587,18 @@ class CutMesh:
     theta: float
     r: int
     cells: list[CellCut]
-    faces: list[FaceCut]
+    faces: FaceCuts
     pairing: PairingMap
     plain: np.ndarray = field(init=False, repr=False)  # per cell; see is_plain
 
     def __post_init__(self):
-        self.plain = np.array([
-            not c.is_cut and not self.pairing.donors(c.cid, c.side)
-            and all(c.side in self.faces[f].segments for f in self.mesh.cell_faces(c.cid))
-            for c in self.cells])
+        # a cut cell takes side 0, which no face has; an uncut cell's donors
+        # are on its side, so it is plain unless it receives any
+        cids = np.arange(len(self.cells))
+        side = np.array([0 if c.is_cut else c.side for c in self.cells])
+        faces = np.stack(self.mesh.cell_faces(cids), axis=1)
+        self.plain = (self.faces.sides[faces, side[:, None]].all(axis=1)
+                      & ~np.isin(cids, list(self.pairing.inverse)))
 
     def sides(self) -> list[tuple[int, int]]:
         """All sub-cells (cid, i), the discretization support."""
@@ -632,12 +632,8 @@ class CutMesh:
 
     def subfaces(self, cid: int, i: int):
         """Sub-faces of cell cid on side i as (fid, endpoints, outward normal)."""
-        out = []
-        for fid in self.mesh.cell_faces(cid):
-            seg = self.faces[fid].segments.get(i)
-            if seg is not None:
-                out.append((fid, seg, self.mesh.outward_normal(cid, fid)))
-        return out
+        return [(fid, self.faces.segments[fid, i], self.mesh.outward_normal(cid, fid))
+                for fid in self.mesh.cell_faces(cid) if self.faces.sides[fid, i]]
 
     def partner_of(self, cid: int) -> int | None:
         return self.pairing.partner.get(cid)

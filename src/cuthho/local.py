@@ -32,13 +32,15 @@ tables (its quadrature with the values and gradients of its cell basis,
 which the operators and ``energy_error`` read), its face tables (the
 projection and flux products of its sub-faces, and on a receiving side
 of its donors' sub-faces, which ``gradient_rhs`` and ``stab_circ``
-read), its reconstruction stencil and, on side 1 of a cut cell, the
-cell's interface tables (the few products over its arc that the
-interface terms read).  Every table is built in one of two stacks,
+read), its reconstruction stencil, the cells whose interface arcs
+enter its reconstruction (``interface_arcs``) and, on side 1 of a cut
+cell, the cell's interface tables (the few products over its arc that
+the interface terms read).  Every table is built in one of two stacks,
 entered only through ``volume_tables`` (see ``_build``): the first call
 builds every sub-cell that is not plain and the first plain one; the
 first call for any other plain sub-cell builds all of those, which share
-the first plain one's transform.  Which sub-cells are plain is the cut
+the first plain one's transform.  A sub-cell the cut mesh does not have
+is a ``KeyError`` before anything is built.  Which sub-cells are plain is the cut
 mesh's mask ``CutMesh.plain``.  No volume fan rule, face rule or
 interface rule is kept.  The load and lifting terms take their data
 from the case the operators are built with.  ``assemble`` calls these
@@ -230,6 +232,7 @@ class SubCell:
     tables: VolumeTables
     faces: FaceTables
     stencil: Stencil
+    arcs: list[int]  # cells whose interface arc enters the reconstruction
     interface: InterfaceTables | None = None  # on side 1 of a cut cell
 
 
@@ -268,11 +271,14 @@ class LocalOperators:
         plain (``CutMesh.plain``) and of the first plain one as one stack;
         the first call for any other plain sub-cell builds all of those as a
         second stack, with the first plain one's transform, plain sub-cells
-        being translates of one another.
+        being translates of one another.  A sub-cell the cut mesh does not
+        have raises a ``KeyError`` naming it before anything is built.
         """
         rec = self._subcells.get((cid, i))
         if rec is None:
             cm = self.cm
+            if i not in cm.cells[cid].sides():
+                raise KeyError(f"sub-cell ({cid}, {i}) is not in the cut mesh")
             plain = [(int(c), cm.cells[c].side) for c in np.flatnonzero(cm.plain)]
             if not self._subcells:
                 self._build([key for key in cm.sides() if not cm.plain[key[0]]] + plain[:1])
@@ -309,6 +315,12 @@ class LocalOperators:
         on side 1 of a cut cell its side-2 cell block, then for each donor
         the same."""
         return self._record(cid, i).stencil
+
+    def interface_arcs(self, cid: int, i: int) -> list[int]:
+        """Cells whose interface arc enters the reconstruction of sub-cell
+        (cid, i), cid first, then its donors: on side 1, each of them that
+        is cut; none on side 2."""
+        return self._record(cid, i).arcs
 
     def volume_quadrature(self, cid: int, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Points and weights of the volume quadrature of sub-cell (cid, i).
@@ -371,10 +383,10 @@ class LocalOperators:
         del merged, pts, w, xi
 
         index = {key: j for j, key in enumerate(keys)}
-        faces, ranges, stencils = [], [], []
+        faces, ranges, stencils, arcs = [], [], [], []
         receivers = {}  # donor sub-face -> its receiver
         for j, (cid, i) in enumerate(keys):
-            lo, blocks = len(faces), []
+            lo, blocks, arcs_j = len(faces), [], []
             for owner in [cid, *cm.pairing.donors(cid, i)]:
                 blocks.append((("c", owner, i), self.nc))
                 for fid, seg, nrm in cm.subfaces(owner, i):
@@ -383,10 +395,12 @@ class LocalOperators:
                     blocks.append((("f", fid, i), self.nf))
                     faces.append((owner, fid, seg, nrm, index[owner, i]))
                 if i == 1 and cm.cells[owner].is_cut:
+                    arcs_j.append(owner)
                     blocks.append((("c", owner, 2), self.nc))
                 own = len(faces) if owner == cid else own
             ranges.append((lo, own, len(faces)))
             stencils.append(Stencil.build(blocks))
+            arcs.append(arcs_j)
         owners, fids, segs, nrms, bases = map(list, zip(*faces))
         fpts, fw, chi = self._face_rules(np.reshape(segs, (-1, 2, 2)))
 
@@ -413,7 +427,7 @@ class LocalOperators:
                 OrthonormalBasis(monos[j], transforms[j]),
                 VolumeTables(*rules[key], ek1[j, :n], dek1[j, :n]),
                 FaceTables(owners[lo:hi], fids[lo:hi], proj[lo:own], flux[lo:hi]),
-                stencils[j])
+                stencils[j], arcs[j])
         for cid, i in keys:
             if i == 1 and cm.cells[cid].is_cut:
                 self._subcells[cid, 1].interface = self._interface_tables(cid)
@@ -482,26 +496,25 @@ class LocalOperators:
         pts, w, chi = (v[0] for v in self._face_rules(np.asarray(seg, dtype=float)[None]))
         return (pts, w, chi) if w.any() else (pts[:0], w[:0], chi[:0])
 
-    def face_projections(self, fids, fn) -> dict[tuple[int, int], np.ndarray]:
-        """Coefficients of the L2-projection of ``fn(i, pts)`` onto the
-        polynomials of each side i of each face of ``fids``, keyed (fid, i).
+    def face_projections(self, faces: np.ndarray,
+                         fn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """L2-projections of ``fn(i, pts)`` onto the polynomials of each side
+        i of the faces in the mask ``faces``: the face ids and sides, by face
+        then side, and the coefficients, (n, nf).
 
         The face basis has Gram matrix h I, so a projection is its moments
         over h.  All face sides take one stacked face rule, and ``fn`` is
         called once per side i.
         """
-        faces = self.cm.faces
-        sides = [(fid, i) for fid in fids for i in faces[fid].sides()]
-        pts, w, chi = self._face_rules(np.reshape([faces[fid].segments[i] for fid, i in sides],
-                                                  (-1, 2, 2)))
-        side = np.array([i for _, i in sides])
+        fid, side = np.nonzero(self.cm.faces.sides & faces[:, None])
+        pts, w, chi = self._face_rules(self.cm.faces.segments[fid, side])
         values = np.zeros(w.shape)
         for i in (1, 2):
             sel = side == i
             if sel.any():
                 values[sel] = fn(i, pts[sel].reshape(-1, 2)).reshape(-1, w.shape[1])
         proj = (chi.swapaxes(1, 2) @ (w * values)[:, :, None])[:, :, 0] / self.cm.mesh.h
-        return dict(zip(sides, proj))
+        return fid, side, proj
 
     def _face_rules(self, segs: np.ndarray):
         """``face_rule`` of a stack of sub-faces ``segs`` (n, 2, 2): points
@@ -519,7 +532,6 @@ class LocalOperators:
 
         Rows 0..ng-1 test against (phi_m, 0), rows ng.. against (0, phi_m).
         """
-        cm = self.cm
         ng, nc, nf = self.ng, self.nc, self.nf
         st = self.reconstruction_stencil(cid, i)
         t = self.volume_tables(cid, i)
@@ -537,11 +549,10 @@ class LocalOperators:
             b[:, st.cols(("f", fid, i), nf)] += flux[:, :nf]
             b[:, st.cols(("c", owner, i), nc)] -= flux[:, nf:]
         # jump across the interface, only tested on side 1
-        for owner in [cid, *cm.pairing.donors(cid, i)]:
-            if i == 1 and cm.cells[owner].is_cut:
-                flux = self.interface_tables(owner).flux
-                b[:, st.cols(("c", owner, 1), nc)] -= flux[:, :nc]
-                b[:, st.cols(("c", owner, 2), nc)] += flux[:, nc:]
+        for owner in self.interface_arcs(cid, i):
+            flux = self.interface_tables(owner).flux
+            b[:, st.cols(("c", owner, 1), nc)] -= flux[:, :nc]
+            b[:, st.cols(("c", owner, 2), nc)] += flux[:, nc:]
         return b, st
 
     def gradient_reconstruction(self, cid: int, i: int):
@@ -629,9 +640,8 @@ class LocalOperators:
     def lifting_coefficients(self, cid: int) -> np.ndarray:
         """Coefficients of the lifting of the case's g_D, if any, into P^k(T^1)^2."""
         lm = np.zeros(2 * self.ng)
-        for owner in [cid, *self.cm.pairing.donors(cid, 1)]:
-            if self.cm.cells[owner].is_cut:
-                lm += self.interface_tables(owner).lift
+        for owner in self.interface_arcs(cid, 1):
+            lm += self.interface_tables(owner).lift
         return lm / self.volume_tables(cid, 1).w.sum()
 
     def load_volume(self, cid: int, i: int) -> np.ndarray:

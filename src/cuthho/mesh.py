@@ -114,23 +114,28 @@ class CartesianMesh:
         ix, iy = k % self.n, k // self.n
         return np.array([[ix * s, iy * s], [(ix + 1) * s, iy * s]])
 
+    @cached_property
+    def face_cell_table(self) -> np.ndarray:
+        """(n_faces, 2): the cells on the negative and positive side of each
+        face (left, right or below, above), -1 outside the domain."""
+        n = self.n
+        ids = np.full((n + 2, n + 2), -1)  # [iy + 1, ix + 1], -1 in the frame
+        ids[1:-1, 1:-1] = np.arange(n * n).reshape(n, n)
+        return np.concatenate([np.stack([ids[1:-1, :-1], ids[1:-1, 1:]], axis=-1).reshape(-1, 2),
+                               np.stack([ids[:-1, 1:-1], ids[1:, 1:-1]], axis=-1).reshape(-1, 2)])
+
+    @cached_property
+    def boundary_faces(self) -> np.ndarray:
+        """(n_faces,) mask of the faces on the domain boundary."""
+        return (self.face_cell_table < 0).any(axis=1)
+
     def face_cells(self, fid: int) -> tuple[int, int]:
         """Adjacent cells on the negative and positive side, -1 at the boundary."""
-        n = self.n
-        if self.face_is_vertical(fid):
-            ix, iy = fid % (n + 1), fid // (n + 1)
-            left = self.cell_id(ix - 1, iy) if ix > 0 else -1
-            right = self.cell_id(ix, iy) if ix < n else -1
-            return left, right
-        k = fid - self._n_vertical
-        ix, iy = k % n, k // n
-        below = self.cell_id(ix, iy - 1) if iy > 0 else -1
-        above = self.cell_id(ix, iy) if iy < n else -1
-        return below, above
+        a, b = self.face_cell_table[fid].tolist()
+        return a, b
 
     def is_boundary_face(self, fid: int) -> bool:
-        a, b = self.face_cells(fid)
-        return a < 0 or b < 0
+        return bool(self.boundary_faces[fid])
 
     def cell_faces(self, cid: int) -> tuple[int, int, int, int]:
         """Faces of a cell as (left, right, bottom, top)."""

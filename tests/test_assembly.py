@@ -157,13 +157,35 @@ def test_dirichlet_mask_on_boundary_faces():
     system = circle_system(k=1)
     layout = system.layout
     cm = system.cm
-    for fc in cm.faces:
-        for i in fc.sides():
-            idx = layout.indices(("f", fc.fid, i))
-            if cm.mesh.is_boundary_face(fc.fid):
-                assert np.all(layout.dirichlet[idx])
-            else:
-                assert not np.any(layout.dirichlet[idx])
+    for fid, i in zip(*np.nonzero(cm.faces.sides)):
+        idx = layout.indices(("f", fid, i))
+        if cm.mesh.is_boundary_face(fid):
+            assert np.all(layout.dirichlet[idx])
+        else:
+            assert not np.any(layout.dirichlet[idx])
+    # the numbering, one block at a time: cells by (cid, side), then faces
+    # by (fid, side)
+    cell_offset = np.full((cm.mesh.n_cells, 3), -1)
+    face_offset = np.full((cm.mesh.n_faces, 3), -1)
+    off = 0
+    for c in cm.cells:
+        for i in c.sides():
+            cell_offset[c.cid, i] = off
+            off += layout.nc
+    assert layout.n_cell_dofs == off
+    for fid in range(cm.mesh.n_faces):
+        for i in (1, 2):
+            if not np.isnan(cm.faces.segments[fid, i]).any():
+                face_offset[fid, i] = off
+                off += layout.nf
+    dirichlet = np.zeros(off, dtype=bool)
+    for fid in range(cm.mesh.n_faces):
+        if cm.mesh.is_boundary_face(fid):
+            for o in face_offset[fid][face_offset[fid] >= 0]:
+                dirichlet[o:o + layout.nf] = True
+    assert np.array_equal(layout.cell_offset, cell_offset)
+    assert np.array_equal(layout.face_offset, face_offset)
+    assert layout.n_total == off and np.array_equal(layout.dirichlet, dirichlet)
 
 
 @pytest.mark.parametrize("name,level,k", [("sinsin", 1, 1), ("jump-mixed", 0, 3)])
@@ -177,16 +199,15 @@ def test_face_projections_match_the_per_face_loop(name, level, k):
     poly = {(a, b): float(rng.uniform(-1, 1)) for a in range(k + 2) for b in range(k + 2 - a)}
     x = interpolate_polynomial(cm, k, poly)
     ops, layout = system.ops, system.layout
-    for fc in cm.faces:
-        for i in fc.sides():
-            pts, w, chi = ops.face_rule(fc.segments[i])
-            idx = layout.indices(("f", fc.fid, i))
-            want = chi.T @ (w * poly_eval(poly, pts)) / cm.mesh.h
-            assert np.abs(x[idx] - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
-            if cm.mesh.is_boundary_face(fc.fid):
-                want = chi.T @ (w * case.u(i, pts)) / cm.mesh.h
-                got = system.dirichlet_values[idx]
-                assert np.abs(got - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
+    for fid, i in zip(*np.nonzero(cm.faces.sides)):
+        pts, w, chi = ops.face_rule(cm.faces.segments[fid, i])
+        idx = layout.indices(("f", fid, i))
+        want = chi.T @ (w * poly_eval(poly, pts)) / cm.mesh.h
+        assert np.abs(x[idx] - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
+        if cm.mesh.is_boundary_face(fid):
+            want = chi.T @ (w * case.u(i, pts)) / cm.mesh.h
+            got = system.dirichlet_values[idx]
+            assert np.abs(got - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
 
 
 def test_energy_error_zero_for_injected_interpolate():
@@ -376,7 +397,7 @@ def to_monomials(mesh, ops, layout, k):
         m[np.ix_(idx, idx)] = ops.cell_basis(cid, 2).transform
     for fid in range(mesh.n_faces):
         ends = mesh.face_endpoints(fid)
-        pts, _, chi = ops.face_rule(ops.cm.faces[fid].segments[2])
+        pts, _, chi = ops.face_rule(ops.cm.faces.segments[fid, 2])
         e = ends[1] - ends[0]
         t = 2 * (pts - (ends[0] + ends[1]) / 2) @ e / (e @ e)
         idx = layout.indices(("f", fid, 2))

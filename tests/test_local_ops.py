@@ -387,6 +387,45 @@ def test_every_accessor_returns_the_kept_record():
                           ops.cell_basis(*plain[0]).transform)
 
 
+def test_volume_tables_of_a_missing_sub_cell_builds_nothing(monkeypatch):
+    # a sub-cell the cut mesh does not have is a KeyError naming it, raised
+    # before any stack is built: the kept records stay the kept ones
+    case = make_case("sinsin")
+    cm = build_cut_mesh(build_mesh(0), case.levelset, theta=0.3, r=4)
+    ops = LocalOperators(cm, 1, case)
+    builds = [0]
+    build = LocalOperators._build
+
+    def counting(self, *args):
+        builds[0] += 1
+        return build(self, *args)
+
+    monkeypatch.setattr(LocalOperators, "_build", counting)
+    plain = [key for key in cm.sides() if cm.is_plain(*key)]
+    kept = ops.volume_tables(*plain[-1])
+    assert builds[0] == 2  # both stacks
+    cid = next(c.cid for c in cm.cells if not c.is_cut)
+    i = 3 - cm.cells[cid].side
+    for _ in range(2):
+        with pytest.raises(KeyError, match=rf"sub-cell \({cid}, {i}\)"):
+            ops.volume_tables(cid, i)
+    assert builds[0] == 2
+    assert ops.volume_tables(*plain[-1]) is kept
+
+
+def test_interface_arcs_are_the_cut_owners_on_side_1():
+    # each sub-cell's record lists the cells whose arc enters its
+    # reconstruction: on side 1, itself if cut, then its donors
+    case = make_case("jump-mixed")
+    cm = build_cut_mesh(build_mesh(0), case.levelset, theta=0.3, r=4)
+    ops = LocalOperators(cm, 3, case)
+    assert any(cm.pairing.donors(cid, 1) for cid, _ in cm.ok_sides())
+    for cid, i in cm.sides():
+        owners = [cid, *cm.pairing.donors(cid, i)]
+        assert ops.interface_arcs(cid, i) == [
+            o for o in owners if i == 1 and cm.cells[o].is_cut], (cid, i)
+
+
 def test_error_pass_quadrature_is_the_tables_bit_for_bit():
     # the tables hold the sub-cell's quadrature and its cell basis' gradients
     # there, bit for bit; energy_error reads them
@@ -403,7 +442,7 @@ def is_plain_oracle(cm, cid, i):
     """The three-clause rule for one sub-cell: an uncut cell without donors
     on side i, whose four faces all lie on side i."""
     return (not cm.cells[cid].is_cut and not cm.pairing.donors(cid, i)
-            and all(i in cm.faces[f].segments for f in cm.mesh.cell_faces(cid)))
+            and all(cm.faces.sides[f, i] for f in cm.mesh.cell_faces(cid)))
 
 
 @pytest.mark.parametrize("k", range(4))
@@ -757,7 +796,7 @@ def face_to_monomials(mesh, ops, fid, k):
     of side 2 to those in the oracle's monomials of the arc-length
     parameter t in [-1, 1], fitted at the k+2 points of the face rule."""
     ends = mesh.face_endpoints(fid)
-    pts, _, chi = ops.face_rule(ops.cm.faces[fid].segments[2])
+    pts, _, chi = ops.face_rule(ops.cm.faces.segments[fid, 2])
     e = ends[1] - ends[0]
     t = 2 * (pts - (ends[0] + ends[1]) / 2) @ e / (e @ e)
     return np.linalg.lstsq(t[:, None] ** np.arange(k + 1), chi, rcond=None)[0]

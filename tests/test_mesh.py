@@ -44,14 +44,16 @@ def test_neighborhood_is_block():
 
 
 def test_face_cell_incidence_total_and_symmetric():
-    m = build_mesh(1)
-    for cid in range(m.n_cells):
-        for fid in m.cell_faces(cid):
-            assert cid in m.face_cells(fid)
-    for fid in range(m.n_faces):
-        for cid in m.face_cells(fid):
-            if cid >= 0:
-                assert fid in m.cell_faces(cid)
+    for level in (0, 1, 2):
+        m = build_mesh(level)
+        for cid in range(m.n_cells):
+            for fid in m.cell_faces(cid):
+                assert cid in m.face_cells(fid)
+        for fid in range(m.n_faces):
+            for cid in m.face_cells(fid):
+                if cid >= 0:
+                    assert fid in m.cell_faces(cid)
+        assert m.boundary_faces.sum() == 4 * m.n
 
 
 def test_cell_areas_sum_to_one():
