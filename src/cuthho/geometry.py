@@ -69,36 +69,54 @@ def bisect_segments(p0: np.ndarray, p1: np.ndarray, levelset: LevelSet) -> np.nd
     return _bisect(a, np.atleast_2d(p1).astype(float), levelset.value(a), levelset.value)
 
 
+def _nearest_brackets(points, dirs, levelset: LevelSet, spans):
+    """Each point's sign-change bracket [ta, tb] nearest the origin, fa
+    the level-set value at ta, and whether it has one (see
+    ``project_onto_interface``)."""
+    steps = np.linspace(-1.0, 1.0, 2 * _SCAN_STEPS + 1)
+    ta, tb, fa = np.zeros((3, len(points)))
+    has_root = np.zeros(len(points), dtype=bool)
+    rows, p, d, s = np.arange(len(points)), points, dirs, spans  # the open points
+    t = s * steps[_SCAN_STEPS]
+    ends = [(t, levelset.value(p + t[:, None] * d))] * 2  # outermost samples, below and above
+    for j in range(2 * _SCAN_STEPS):
+        if not len(rows):
+            break
+        side = j % 2  # 0: the next sample below the origin, 1: above
+        t0, f0 = ends[side]
+        t1 = s * steps[_SCAN_STEPS + (j // 2 + 1) * (2 * side - 1)]
+        f1 = levelset.value(p + t1[:, None] * d)
+        cross = np.signbit(f0) != np.signbit(f1)
+        lo, hi, f_lo = (t0, t1, f0) if side else (t1, t0, f1)
+        hit = rows[cross]
+        has_root[hit] = True
+        ta[hit], tb[hit], fa[hit] = lo[cross], hi[cross], f_lo[cross]
+        ends[side] = (t1, f1)
+        if cross.any():
+            keep = ~cross
+            rows, p, d, s = rows[keep], p[keep], d[keep], s[keep]
+            ends = [(t[keep], f[keep]) for t, f in ends]
+    return ta, tb, fa, has_root
+
+
 def project_onto_interface(points: np.ndarray, dirs: np.ndarray,
                            levelset: LevelSet, spans: np.ndarray) -> np.ndarray:
     """Move each point to the zero set along its direction.
 
-    Scans 2 * _SCAN_STEPS + 1 samples on [-span, span] per point for the
-    sign-change bracket nearest the origin, the first of equal distances,
-    then bisects.  The scan evaluates one sample of every point per
-    level-set call and keeps only the nearest bracket so far, so its
-    memory grows with the number of points only.  Points without a nearby
+    Of the brackets between 2 * _SCAN_STEPS + 1 samples on [-span, span]
+    per point, takes the sign-change bracket nearest the origin, the one
+    below the origin of two at equal distance, then bisects.  The scan
+    goes outward from the origin, one sample below and then one above per
+    step, and a point leaves it at its first sign change: a point with a
+    crossing within span/16 costs the origin and one or two neighbours,
+    and only the points still open see farther samples.  Each level-set
+    call evaluates one sample of the open points, so the scan's memory
+    grows with the number of points only.  Points without a nearby
     crossing are returned unchanged (they are already on a chord and only
     lose geometric, not algebraic, accuracy).
     """
     points = np.atleast_2d(points).astype(float)
-    steps = np.linspace(-1.0, 1.0, 2 * _SCAN_STEPS + 1)
-    nearest = np.full(len(points), np.inf)
-    ta, tb, fa = np.zeros((3, len(points)))
-    t0 = spans * steps[0]
-    f0 = levelset.value(points + t0[:, None] * dirs)
-    for step in steps[1:]:
-        t1 = spans * step
-        f1 = levelset.value(points + t1[:, None] * dirs)
-        dist = np.abs(0.5 * (t1 + t0))
-        better = (np.signbit(f0) != np.signbit(f1)) & (dist < nearest)
-        nearest[better] = dist[better]
-        ta[better] = t0[better]
-        tb[better] = t1[better]
-        fa[better] = f0[better]
-        t0, f0 = t1, f1
-    has_root = np.isfinite(nearest)
-
+    ta, tb, fa, has_root = _nearest_brackets(points, dirs, levelset, spans)
     t = _bisect(ta[:, None], tb[:, None], fa, lambda t: levelset.value(points + t * dirs))
     return points + np.where(has_root[:, None], t, 0.0) * dirs
 

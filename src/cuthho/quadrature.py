@@ -17,7 +17,12 @@ discrete measures and applications").  The compressed rule has at most
 dim P_d nodes, all of them nodes of the fine rule; its weights come from
 the Lawson-Hanson active-set solver ``nnls``, run on moment rows made
 orthonormal over the candidate nodes (Piazzon, Sommariva & Vianello
-2017, "Caratheodory-Tchakaloff subsampling").
+2017, "Caratheodory-Tchakaloff subsampling").  The first try starts
+``nnls`` from approximate Fekete points (``fekete_start``): the pivot
+columns of a column-pivoted QR of those rows (Sommariva & Vianello 2009,
+"Computing approximate Fekete points by QR factorizations of Vandermonde
+matrices"), so the solver starts near its final support instead of
+taking it in one column at a time.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import qr_delete
+from scipy.linalg import qr, qr_delete
 from scipy.linalg.lapack import dtrtrs
 
 from .basis import monomial_exponents
@@ -197,6 +202,27 @@ def nnls(a: np.ndarray, b: np.ndarray, x0: np.ndarray | None = None) -> np.ndarr
     return x
 
 
+def fekete_start(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """Start for ``nnls(a, b)`` on approximate Fekete points.
+
+    A column-pivoted QR of ``a`` (m rows), a P = Q R, picks its first m
+    pivot columns; the start holds the positive entries of the solution
+    of the square system on them, R_11 z = Q^T b, and zeros elsewhere.
+    Returns None if that system is singular or its solution not finite.
+    The start is not the least-squares solution on its support, so
+    ``nnls`` may end at a nonnegative x that is not optimal (see there);
+    ``compress_rule`` checks the moments of every try.
+    """
+    m = a.shape[0]
+    q, r, piv = qr(a, mode="economic", pivoting=True, check_finite=False)
+    z, info = dtrtrs(r[:, :m], q.T @ b)
+    if info or not np.isfinite(z).all():
+        return None
+    x0 = np.zeros(a.shape[1])
+    x0[piv[:m]] = np.maximum(z, 0.0)
+    return x0
+
+
 def _legendre(s: np.ndarray, degree: int) -> np.ndarray:
     """Legendre polynomials P_0..P_degree, one row per degree, at s mapped
     affinely from its range onto [-1, 1]."""
@@ -230,10 +256,12 @@ def compress_rule(pts: np.ndarray, w: np.ndarray, degree: int,
     the candidates by one QR, V^T = Q R, and ``nnls`` solves
     Q^T x = R^-T moments, which for V of full row rank has the same
     solutions but far better conditioned columns; the miss is checked on
-    V.  ``w`` must be
-    positive.  Raises NumericalError naming ``what`` if a rule of at most
-    dim P_degree nodes is not positive, or if even all nodes miss the
-    moments by more than _COMPRESSION_TOL times the total weight.
+    V.  A try that keeps no nodes, the first, starts ``nnls`` from
+    ``fekete_start`` on Q^T, a retry from the nodes the last try kept.
+    ``w`` must be positive.  Raises NumericalError naming ``what`` if a
+    rule of at most dim P_degree nodes is not positive, or if even all
+    nodes miss the moments by more than _COMPRESSION_TOL times the total
+    weight.
     """
     n = len(w)
     ea, eb = monomial_exponents(degree).T
@@ -260,7 +288,8 @@ def compress_rule(pts: np.ndarray, w: np.ndarray, degree: int,
             x0[np.searchsorted(cand, kept)] = x
             v = lx[:, cand][ea] * ly[:, cand][eb]
             q, r = np.linalg.qr(v.T)
-            x = nnls(q.T, dtrtrs(r, moments, trans=1)[0], x0)
+            rhs = dtrtrs(r, moments, trans=1)[0]
+            x = nnls(q.T, rhs, x0 if len(kept) else fekete_start(q.T, rhs))
             miss = float(np.max(np.abs(v @ x - moments)))
             kept, x = cand[x > 0], x[x > 0]
             if miss <= _COMPRESSION_TOL:

@@ -3,6 +3,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from cuthho import cases, local, quadrature, study
 from cuthho.basis import (
     CellBasis,
     expand_in_basis,
@@ -20,6 +21,7 @@ from cuthho.mesh import build_mesh
 from cuthho.quadrature import (
     box_rule,
     compress_rule,
+    fekete_start,
     gauss_1d,
     gauss_jacobi_1d,
     map_to_triangles,
@@ -149,6 +151,60 @@ def test_compress_rule_keeps_moments_with_few_positive_nodes():
     for a, b in monomial_exponents(5):
         want = fine_w @ (fine_pts[:, 0] ** a * fine_pts[:, 1] ** b)
         assert w @ (pts[:, 0] ** a * pts[:, 1] ** b) == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+
+@pytest.mark.parametrize("dim", [10, 21, 55])
+def test_nnls_from_the_fekete_start_matches_the_cold_start(dim):
+    # problems shaped like the compression's: dim orthonormal moment rows
+    # over 4 dim candidates, and the moments of a positive measure on them
+    rng = np.random.default_rng(dim)
+    for _ in range(20):
+        a = np.linalg.qr(rng.standard_normal((4 * dim, dim)))[0].T
+        b = a @ rng.uniform(0.1, 1.0, 4 * dim)
+        x0 = fekete_start(a, b)
+        assert x0 is not None and np.all(x0 >= 0.0) and np.any(x0 > 0.0)
+        assert np.count_nonzero(x0) <= dim
+        warm, cold = nnls(a, b, x0), nnls(a, b)
+        assert np.all(warm >= 0.0)
+        assert np.linalg.norm(a @ warm - b) <= (np.linalg.norm(a @ cold - b)
+                                                + 1e-10 * np.linalg.norm(b))
+
+
+def test_fekete_start_gives_no_start_for_a_singular_system():
+    a = np.zeros((3, 8))
+    a[:, :3] = np.eye(3)
+    a[2] = 0.0  # rank 2: the pivoted QR's third pivot is zero
+    assert fekete_start(a, np.ones(3)) is None
+
+
+def test_compress_rule_starts_nnls_from_the_fekete_points(monkeypatch):
+    # the first try starts from the square solve on the pivot columns, not
+    # from x = 0, so nnls does not take in its support a column at a time
+    starts = []
+
+    def recording_nnls(a, b, x0=None):
+        starts.append(x0)
+        return nnls(a, b, x0)
+
+    monkeypatch.setattr(quadrature, "nnls", recording_nnls)
+    tris = np.array([[[0.0, 0.0], [1.0, 0.0], [0.3, 0.2]],
+                     [[0.0, 0.0], [0.3, 0.2], [0.1, 1.0]]])
+    compress_rule(*map_to_triangles(tris, *triangle_rule(9)), 5, "two triangles")
+    assert starts and starts[0] is not None
+    assert np.count_nonzero(starts[0]) > 0
+
+
+@pytest.mark.parametrize("name,k,level,r", [
+    ("sinsin", 1, 1, 8), ("sinsin", 3, 0, 6), ("jump-mixed", 3, 0, 6), ("jump-mixed", 1, 1, 8)])
+def test_compressed_rules_keep_the_energy_error_of_the_fan_rules(monkeypatch, name, k, level, r):
+    # f and the exact gradient are not polynomials, so other compressed
+    # nodes move the energy error; it stays within 1e-6 of the error the
+    # uncompressed fan rules give (measured 5e-9 to 1.2e-7)
+    case = cases.make_case(name)
+    compressed = study.solve_single(case, k, level, r=r)[0].energy_error
+    monkeypatch.setattr(local, "compress_rule", lambda pts, w, degree, what: (pts, w))
+    fan = study.solve_single(case, k, level, r=r)[0].energy_error
+    assert abs(compressed - fan) <= 1e-6 * fan
 
 
 def test_compress_rule_returns_a_rule_of_at_most_dim_nodes_unchanged():

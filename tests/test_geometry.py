@@ -20,6 +20,7 @@ from cuthho.geometry import (
     project_onto_interface,
 )
 from cuthho.basis import monomial_exponents, space_dimension
+from cuthho.cases import make_case
 from cuthho.levelset import Circle, Flower, LevelSet, Line, Square
 from cuthho.local import LocalOperators
 from cuthho.mesh import build_mesh
@@ -118,6 +119,66 @@ def test_polyline_refinement_batched_over_cells(monkeypatch):
         tracemalloc.stop()
     assert peak <= 24 * 8 * n
     assert np.max(CIRCLE.distance_estimate(proj)) <= 1e-15
+
+
+def _full_scan_projection(points, dirs, levelset, spans):
+    # every point takes all 2 * 16 + 1 samples; of the sign-change brackets
+    # the one nearest the origin wins, the first of equal distances
+    points = np.atleast_2d(points).astype(float)
+    steps = np.linspace(-1.0, 1.0, 33)
+    nearest = np.full(len(points), np.inf)
+    ta, tb, fa = np.zeros((3, len(points)))
+    t0 = spans * steps[0]
+    f0 = levelset.value(points + t0[:, None] * dirs)
+    for step in steps[1:]:
+        t1 = spans * step
+        f1 = levelset.value(points + t1[:, None] * dirs)
+        dist = np.abs(0.5 * (t1 + t0))
+        better = (np.signbit(f0) != np.signbit(f1)) & (dist < nearest)
+        nearest[better] = dist[better]
+        ta[better], tb[better], fa[better] = t0[better], t1[better], f0[better]
+        t0, f0 = t1, f1
+    t = geometry._bisect(ta[:, None], tb[:, None], fa,
+                         lambda t: levelset.value(points + t * dirs))
+    return points + np.where(np.isfinite(nearest)[:, None], t, 0.0) * dirs
+
+
+class _CountingLevelSet(LevelSet):
+    def __init__(self, inner):
+        self.inner, self.points = inner, 0
+
+    def value(self, pts):
+        self.points += len(np.atleast_2d(pts))
+        return self.inner.value(pts)
+
+    def gradient(self, pts):
+        return self.inner.gradient(pts)
+
+
+@pytest.mark.parametrize("case,levelset,level,r", [
+    *[("sinsin", None, level, 8) for level in range(4)],
+    ("jump-mixed", None, 0, 10), ("jump-mixed", None, 1, 10),
+    (None, Square(delta=0.5e-5), 0, 8), (None, Square(delta=0.5e-5), 1, 8),
+    (None, Square(delta=0.5e-9), 0, 8), (None, Flower(amplitude=0.02), 1, 8)])
+def test_outward_projection_scan_matches_the_full_scan(monkeypatch, case, levelset, level, r):
+    # the scan goes outward from the origin and stops at a point's first
+    # sign change, yet every polyline is bit for bit the full scan's
+    if case is not None:
+        levelset = make_case(case).levelset
+    cm = build_cut_mesh(build_mesh(level), levelset, theta=0.3, r=r)
+    lines = np.array([c.polyline for c in cm.cells if c.is_cut])
+    monkeypatch.setattr(geometry, "project_onto_interface", _full_scan_projection)
+    assert np.array_equal(build_polyline(lines[:, 0], lines[:, -1], levelset, r), lines)
+
+
+def test_outward_projection_scan_evaluates_fewer_points():
+    # sinsin at level 2, r=8: the full scan passed 2,230,740 points to the
+    # level set in build_polyline, 33 samples and 48 halvings a point
+    cm = build_cut_mesh(build_mesh(2), make_case("sinsin").levelset, theta=0.3, r=8)
+    lines = np.array([c.polyline for c in cm.cells if c.is_cut])
+    counting = _CountingLevelSet(make_case("sinsin").levelset)
+    assert np.array_equal(build_polyline(lines[:, 0], lines[:, -1], counting, 8), lines)
+    assert counting.points <= 0.65 * 2_230_740
 
 
 @st.composite
