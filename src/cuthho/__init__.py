@@ -26,7 +26,7 @@ from .errors import (
     PairingError,
 )
 from .geometry import (
-    CellCut,
+    CellCuts,
     CutMesh,
     FaceCuts,
     PairingMap,

@@ -53,7 +53,7 @@ class DofLayout:
     def build(cls, cm: CutMesh, k: int) -> "DofLayout":
         nc = space_dimension(k + 1)
         nf = k + 1
-        cell_offset = np.full((len(cm.cells), 3), -1)
+        cell_offset = np.full((cm.mesh.n_cells, 3), -1)
         face_offset = np.full((cm.mesh.n_faces, 3), -1)
         cid, ci = np.array(cm.sides()).T  # by cell, then side
         cell_offset[cid, ci] = nc * np.arange(len(cid))
@@ -118,15 +118,15 @@ class PlainCells:
         cids = np.flatnonzero(cm.plain)
         if not len(cids):
             return None
-        sides = np.array([cm.cells[c].side for c in cids])
+        sides = cm.cells.side[cids]
         cid0, i0 = int(cids[0]), int(sides[0])
         a, _, _, st = ops.stiffness_ok(cid0, i0, 1.0)
         s, st_s = ops.stab_circ(cid0, i0, 1.0)
-        faces = np.stack(cm.mesh.cell_faces(cids), axis=1)  # (n, 4)
+        faces = cm.mesh.cell_face_table[cids]  # (n, 4)
         assert st.keys == st_s.keys == [("c", cid0, i0)] + [
             ("f", int(f), i0) for f in faces[0]]
         t = ops.volume_tables(cid0, i0)
-        centers = np.array([cm.cells[c].barycenter[i] for c, i in zip(cids, sides)])
+        centers = cm.cells.barycenter[cids, sides]
         nc, nf = layout.nc, layout.nf
         return cls(
             cids, sides, np.where(sides == 1, kappa[0], kappa[1]),
@@ -303,7 +303,7 @@ def assemble(cm: CutMesh, k: int, kappa: tuple[float, float] = (1.0, 1.0),
             for donor in cm.pairing.donors(cid, i):
                 a += ops.stab_pairing(cid, i, donor, kap[i], eta)[0]
         a += ops.stab_circ(cid, i, kap[i])[0]
-        if i == 1 and cm.cells[cid].is_cut:
+        if i == 1 and cm.is_cut(cid):
             a += ops.stab_gamma(cid, kappa[0])[0]
         lo, hi = hi, hi + len(idx) ** 2
         rows[lo:hi].reshape(len(idx), -1)[:] = idx[:, None]
@@ -312,7 +312,7 @@ def assemble(cm: CutMesh, k: int, kappa: tuple[float, float] = (1.0, 1.0),
         cell_idx = layout.indices(("c", cid, i))
         if case is not None:
             loads.append((cell_idx, ops.load_volume(cid, i)))
-        if i == 2 and cm.cells[cid].is_cut and (g_d is not None or g_n is not None):
+        if i == 2 and cm.is_cut(cid) and (g_d is not None or g_n is not None):
             r1, r2 = ops.load_interface(cid, kappa[0])  # after both volume loads
             loads += [(layout.indices(("c", cid, 1)), r1), (cell_idx, r2)]
     for idx, r in loads:

@@ -1,12 +1,16 @@
 """Cut geometry on a Cartesian background mesh.
 
 Builds, for a given level set, the complete cut description the solver
-needs: every face's cut as one table (``FaceCuts``: whether the interface
-crosses the face, where, and the part of the face on each side, made by
-array operations over all faces), per-cell interface polylines (2**r
-chords obtained by recursive midpoint projection onto the zero set),
-sub-cell triangulations used for quadrature, inscribed-radius estimates
-driving the well-cut / ill-cut classification, and the pairing map that
+needs as two tables and a pairing map.  ``FaceCuts`` holds every face's
+cut: whether the interface crosses the face, where, and the part of the
+face on each side, made by array operations over all faces.  ``CellCuts``
+holds every cell's cut: its kind (uncut, well-cut or ill-cut), its
+containing or failing side, and each sub-cell's area, barycenter and
+inscribed-radius estimate rho, with the interface polyline (2**r chords
+obtained by recursive midpoint projection onto the zero set) and the
+sub-cell triangulations used for quadrature of every cut cell.  Its uncut
+rows are filled by array operations, its cut rows one cell at a time,
+and rho drives the well-cut / ill-cut classification.  The pairing map
 assigns every ill-cut cell a neighbor with a usable sub-cell on the
 failing side.
 
@@ -316,29 +320,18 @@ def classify_faces(mesh: CartesianMesh, levelset: LevelSet,
 # cells
 # ----------------------------------------------------------------------
 
-@dataclass
-class CellCut:
-    cid: int
-    kind: str
-    side: int | None  # containing side (uncut) or failing side iota (ill-cut)
-    polyline: np.ndarray | None = None
-    tris: dict[int, np.ndarray] = field(default_factory=dict)
-    area: dict[int, float] = field(default_factory=dict)
-    barycenter: dict[int, np.ndarray] = field(default_factory=dict)
-    rho: dict[int, float] = field(default_factory=dict)
+@dataclass(frozen=True)
+class CellCuts:
+    """Every cell's cut, one row a cell.  The side axis has column 0 unused,
+    so sides index it directly; an absent sub-cell is NaN."""
 
-    @property
-    def is_cut(self) -> bool:
-        return self.kind != UNCUT
-
-    @property
-    def iota(self) -> int:
-        if self.kind != ILL_CUT:
-            raise ValueError("iota is defined for ill-cut cells only")
-        return self.side  # type: ignore[return-value]
-
-    def sides(self) -> tuple[int, ...]:
-        return (1, 2) if self.is_cut else (self.side,)  # type: ignore[return-value]
+    kind: np.ndarray  # (n_cells,) UNCUT, WELL_CUT or ILL_CUT
+    side: np.ndarray  # (n_cells,) containing side (uncut), failing side iota (ill-cut), else 0
+    area: np.ndarray  # (n_cells, 3), the area of sub-cell i
+    barycenter: np.ndarray  # (n_cells, 3, 2)
+    rho: np.ndarray  # (n_cells, 3), the inradius estimate of sub-cell i
+    polyline: dict[int, np.ndarray]  # cut cell -> its interface polyline, in cell order
+    tris: dict[tuple[int, int], np.ndarray]  # (cut cell, i) -> the triangles of sub-cell i
 
 
 def _incenters(tris: np.ndarray) -> np.ndarray:
@@ -378,62 +371,51 @@ class _Walk(NamedTuple):
     a: np.ndarray
     b: np.ndarray
     side1: int  # side of chain1, the corners met walking CCW from a to b
-    chain1: list[np.ndarray]
+    chain1: np.ndarray
     side2: int  # side of chain2, the corners met walking CCW from b to a
-    chain2: list[np.ndarray]
+    chain2: np.ndarray
+
+
+_CCW_EDGES = [2, 1, 3, 0]  # the cell_faces columns of bottom, right, top, left
+
+
+def _chain_side(signs: np.ndarray) -> int:
+    signs = signs[signs != 0]
+    if not len(signs) or (signs != signs[0]).any():
+        raise GeometryError("disconnected cut: ambiguous sub-cell")
+    return 1 if signs[0] < 0 else 2
 
 
 def _walk_cut_cell(mesh: CartesianMesh, cid: int, faces: FaceCuts,
                    corner_sign: np.ndarray) -> _Walk:
-    corners = mesh.cell_vertices(cid)
-    left, right, bottom, top = mesh.cell_faces(cid)
-    walk_faces = (bottom, right, top, left)  # CCW edge order
-
-    entries: list[tuple[str, np.ndarray, int]] = []
-    ncross = 0
-    for j in range(4):
-        entries.append(("corner", corners[j], int(corner_sign[j])))
-        if faces.crossed[walk_faces[j]]:
-            entries.append(("cross", faces.point[walk_faces[j]], 0))
-            ncross += 1
-    if ncross != 2:
+    edges = mesh.cell_face_table[cid, _CCW_EDGES]  # edge j runs from corner j to j+1
+    crossed = np.flatnonzero(faces.crossed[edges])
+    if len(crossed) != 2:
         raise GeometryError("disconnected cut: expected two boundary crossings")
-
-    cross_pos = [j for j, e in enumerate(entries) if e[0] == "cross"]
-    k1, k2 = cross_pos
-    a, b = entries[k1][1], entries[k2][1]
-    chain1 = entries[k1 + 1:k2]
-    chain2 = entries[k2 + 1:] + entries[:k1]
-    if not chain1 or not chain2:
-        raise GeometryError("disconnected cut: crossing at a cell corner")
-
-    def chain_side(chain):
-        signs = [s for kind, _, s in chain if kind == "corner" and s != 0]
-        if not signs or len(set(signs)) != 1:
-            raise GeometryError("disconnected cut: ambiguous sub-cell")
-        return 1 if signs[0] < 0 else 2
-
-    side1 = chain_side(chain1)
-    side2 = chain_side(chain2)
+    j1, j2 = crossed
+    chain1, chain2 = np.arange(j1 + 1, j2 + 1), np.arange(j2 + 1, j1 + 5) % 4
+    side1, side2 = _chain_side(corner_sign[chain1]), _chain_side(corner_sign[chain2])
     if side1 == side2:
         raise GeometryError("disconnected cut: both chains on one side")
-    return _Walk(a, b, side1, [p for _, p, _ in chain1],
-                 side2, [p for _, p, _ in chain2])
+    corners = mesh.vertices.points[mesh.vertices.cells[cid]]
+    return _Walk(faces.point[edges[j1]], faces.point[edges[j2]],
+                 side1, corners[chain1], side2, corners[chain2])
 
 
-def _classify_cut_cell(mesh: CartesianMesh, levelset: LevelSet, cid: int,
-                       walk: _Walk, polyline: np.ndarray, theta: float,
-                       grid_pts: np.ndarray, grid_neg: np.ndarray) -> CellCut:
+def _classify_cut_cell(cells: CellCuts, mesh: CartesianMesh, levelset: LevelSet,
+                       cid: int, walk: _Walk, theta: float,
+                       grid_pts: np.ndarray, grid_neg: np.ndarray) -> None:
+    """Fill row cid of ``cells``, a cut cell's: its sub-cells' triangles,
+    areas, barycenters and rho, and the side that fails, if one does."""
     cell_area = mesh.cell_size**2
     a, b = walk.a, walk.b
-    interior = polyline[1:-1]
+    interior = cells.polyline[cid][1:-1]
     polys = {
         # chain1 runs a -> b, close it with the polyline walked b -> a
         walk.side1: np.vstack([a[None, :], walk.chain1, b[None, :], interior[::-1]]),
         walk.side2: np.vstack([b[None, :], walk.chain2, a[None, :], interior]),
     }
 
-    cc = CellCut(cid, WELL_CUT, None, polyline=polyline)
     box = mesh.cell_box(cid)
     chain_anchors = {
         # chain corners rescue the sub-cells that are concave along the arc
@@ -446,25 +428,26 @@ def _classify_cut_cell(mesh: CartesianMesh, levelset: LevelSet, cid: int,
         if len(tris) == 0:
             raise GeometryError("degenerate triangle: empty sub-cell")
         areas = triangle_areas(tris)
-        cc.tris[i] = tris
-        cc.area[i] = float(areas.sum())
-        cc.barycenter[i] = (tris.mean(axis=1) * areas[:, None]).sum(axis=0) / cc.area[i]
+        area = float(areas.sum())
+        cells.tris[cid, i] = tris
+        cells.area[cid, i] = area
+        cells.barycenter[cid, i] = (tris.mean(axis=1) * areas[:, None]).sum(axis=0) / area
         gpts = grid_pts[grid_neg] if i == 1 else grid_pts[~grid_neg]
-        cc.rho[i] = _rho_estimate(levelset, box, tris, gpts)
+        cells.rho[cid, i] = _rho_estimate(levelset, box, tris, gpts)
 
     tau = theta * 0.5 * mesh.cell_size  # theta times the cell inradius
-    bad = [i for i in (1, 2) if cc.rho[i] < tau]
+    bad = [i for i in (1, 2) if cells.rho[cid, i] < tau]
     if len(bad) == 2:
         raise GeometryError("both sides ill-cut: mesh too coarse for this theta")
     if len(bad) == 1:
-        cc.kind = ILL_CUT
-        cc.side = bad[0]
-    return cc
+        cells.kind[cid] = ILL_CUT
+        cells.side[cid] = bad[0]
 
 
 def build_cut_mesh(mesh: CartesianMesh, levelset: LevelSet, theta: float = 0.3,
                    r: int = 8) -> "CutMesh":
     s = mesh.cell_size
+    n = mesh.n_cells
     verts = mesh.vertices
 
     # one vertex table keeps face and cell sign decisions consistent
@@ -474,18 +457,23 @@ def build_cut_mesh(mesh: CartesianMesh, levelset: LevelSet, theta: float = 0.3,
     corner_sign = vertex_sign[verts.cells]
 
     faces = classify_faces(mesh, levelset, vertex_sign)
-    cell_faces = np.stack(mesh.cell_faces(np.arange(mesh.n_cells)), axis=1)
-    cell_has_crossing = faces.crossed[cell_faces].any(axis=1)
+    cut = faces.crossed[mesh.cell_face_table].any(axis=1)
 
     # interior sample grid of every cell in one sweep, from its lower-left corner
     offs = (np.arange(GRID_M) + 0.5) / GRID_M * s
     grid = np.stack(np.meshgrid(offs, offs), axis=-1).reshape(-1, 2)
     gpts = verts.points[verts.cells[:, 0]][:, None] + grid  # (ncells, grid*grid, 2)
-    gneg = levelset.value(gpts.reshape(-1, 2)).reshape(mesh.n_cells, -1) < 0
+    gneg = levelset.value(gpts.reshape(-1, 2)).reshape(n, -1) < 0
+
+    # an uncrossed cell lies on one side, unless an interface loop is inside it
+    has_neg = gneg.any(axis=1) | (corner_sign < 0).any(axis=1)
+    has_pos = (~gneg).any(axis=1) | (corner_sign > 0).any(axis=1)
+    loops = np.flatnonzero(~cut & has_neg & has_pos)
+    first_loop = loops[0] if len(loops) else n
 
     # walk every cut cell first, keeping its error for the pass in cell order
     walks: dict[int, _Walk | GeometryError] = {}
-    for cid in np.flatnonzero(cell_has_crossing).tolist():
+    for cid in np.flatnonzero(cut).tolist():
         try:
             walks[cid] = _walk_cut_cell(mesh, cid, faces, corner_sign[cid])
         except GeometryError as exc:
@@ -494,33 +482,28 @@ def build_cut_mesh(mesh: CartesianMesh, levelset: LevelSet, theta: float = 0.3,
     ends = np.array([(walks[cid].a, walks[cid].b) for cid in arcs]).reshape(-1, 2, 2)
     polylines = dict(zip(arcs, build_polyline(ends[:, 0], ends[:, 1], levelset, r)))
 
-    cells: list[CellCut] = []
-    for cid in range(mesh.n_cells):
-        neg = gneg[cid]
-        if not cell_has_crossing[cid]:
-            has_neg = bool(neg.any() or (corner_sign[cid] < 0).any())
-            has_pos = bool((~neg).any() or (corner_sign[cid] > 0).any())
-            if has_neg and has_pos:
-                raise GeometryError(
-                    f"cell {cid}: disconnected cut: interface loop inside an uncrossed cell"
-                )
-            side = 1 if has_neg else 2
-            cc = CellCut(cid, UNCUT, side)
-            cc.area[side] = s * s
-            cc.barycenter[side] = mesh.cell_center(cid)
-            cc.rho[side] = 0.5 * s
-            cells.append(cc)
-        else:
+    # the uncut rows by array operations: a whole square on its side
+    side = np.where(cut, 0, np.where(has_neg, 1, 2))
+    cells = CellCuts(np.where(cut, WELL_CUT, UNCUT), side, np.full((n, 3), np.nan),
+                     np.full((n, 3, 2), np.nan), np.full((n, 3), np.nan), polylines, {})
+    u = np.flatnonzero(~cut)
+    ixy = np.stack(mesh.cell_index(u), axis=1)
+    cells.area[u, side[u]] = s * s
+    cells.barycenter[u, side[u]] = 0.5 * (ixy * s + (ixy + 1) * s)  # cell_center's bits
+    cells.rho[u, side[u]] = 0.5 * s
+
+    # then the cut rows in cell order, up to the first loop
+    for cid in np.flatnonzero(cut[:first_loop]).tolist():
+        try:
             walk = walks[cid]
-            try:
-                if isinstance(walk, GeometryError):
-                    raise walk
-                cells.append(
-                    _classify_cut_cell(mesh, levelset, cid, walk, polylines[cid],
-                                       theta, gpts[cid], neg)
-                )
-            except GeometryError as exc:
-                raise GeometryError(f"cell {cid}: {exc}") from exc
+            if isinstance(walk, GeometryError):
+                raise walk
+            _classify_cut_cell(cells, mesh, levelset, cid, walk, theta, gpts[cid], gneg[cid])
+        except GeometryError as exc:
+            raise GeometryError(f"cell {cid}: {exc}") from exc
+    if len(loops):
+        raise GeometryError(
+            f"cell {first_loop}: disconnected cut: interface loop inside an uncrossed cell")
 
     pairing = build_pairing(mesh, cells)
     return CutMesh(mesh, levelset, theta, r, cells, faces, pairing)
@@ -543,16 +526,13 @@ class PairingMap:
         return len(self.partner)
 
 
-def _admissible(cells, T: int, i: int) -> bool:
-    c = cells[T]
-    if c.kind == UNCUT:
-        return c.side == i
-    if c.kind == WELL_CUT:
-        return True
-    return c.iota != i
+def _admissible(cells: CellCuts, T: int, i: int) -> bool:
+    if cells.kind[T] == UNCUT:
+        return bool(cells.side[T] == i)
+    return bool(cells.kind[T] == WELL_CUT or cells.side[T] != i)
 
 
-def build_pairing(mesh: CartesianMesh, cells) -> PairingMap:
+def build_pairing(mesh: CartesianMesh, cells: CellCuts) -> PairingMap:
     """Assign every ill-cut cell a partner with a good sub-cell on its bad side.
 
     Candidates live in the first neighborhood layer; preference order is
@@ -562,8 +542,8 @@ def build_pairing(mesh: CartesianMesh, cells) -> PairingMap:
     reciprocal partner of the step pairing them from side 1, which keeps
     mutual pairs together.
     """
-    ill1 = sorted(c.cid for c in cells if c.kind == ILL_CUT and c.iota == 1)
-    ill2 = sorted(c.cid for c in cells if c.kind == ILL_CUT and c.iota == 2)
+    ill1, ill2 = (np.flatnonzero((cells.kind == ILL_CUT) & (cells.side == i)).tolist()
+                  for i in (1, 2))
     partner: dict[int, int] = {}
 
     def choose(S: int, i: int) -> int:
@@ -574,7 +554,7 @@ def build_pairing(mesh: CartesianMesh, cells) -> PairingMap:
         ]
         if not cands:
             raise PairingError(f"pairing failed for cell {S}")
-        return min(cands, key=lambda T: (rank[cells[T].kind], -cells[T].area[i], T))
+        return min(cands, key=lambda T: (rank[cells.kind[T]], -cells.area[T, i], T))
 
     for S in ill1:
         partner[S] = choose(S, 1)
@@ -588,7 +568,7 @@ def build_pairing(mesh: CartesianMesh, cells) -> PairingMap:
 
     inverse: dict[int, list[tuple[int, int]]] = {}
     for S, T in sorted(partner.items()):
-        i = cells[S].iota
+        i = int(cells.side[S])
         assert _admissible(cells, T, i)
         inverse.setdefault(T, []).append((i, S))
     return PairingMap(partner, {T: tuple(v) for T, v in inverse.items()})
@@ -604,7 +584,7 @@ class CutMesh:
     levelset: LevelSet
     theta: float
     r: int
-    cells: list[CellCut]
+    cells: CellCuts
     faces: FaceCuts
     pairing: PairingMap
     plain: np.ndarray = field(init=False, repr=False)  # per cell; see is_plain
@@ -612,18 +592,16 @@ class CutMesh:
     def __post_init__(self):
         # a cut cell takes side 0, which no face has; an uncut cell's donors
         # are on its side, so it is plain unless it receives any
-        cids = np.arange(len(self.cells))
-        side = np.array([0 if c.is_cut else c.side for c in self.cells])
-        faces = np.stack(self.mesh.cell_faces(cids), axis=1)
-        self.plain = (self.faces.sides[faces, side[:, None]].all(axis=1)
+        cids = np.arange(self.mesh.n_cells)
+        side = np.where(self.cells.kind == UNCUT, self.cells.side, 0)
+        self.plain = (self.faces.sides[self.mesh.cell_face_table, side[:, None]].all(axis=1)
                       & ~np.isin(cids, list(self.pairing.inverse)))
 
     def sides(self) -> list[tuple[int, int]]:
-        """All sub-cells (cid, i), the discretization support."""
-        out = []
-        for c in self.cells:
-            out.extend((c.cid, i) for i in c.sides())
-        return out
+        """All sub-cells (cid, i), the discretization support, by cell and
+        then side."""
+        cids, sides = np.nonzero(~np.isnan(self.cells.area))
+        return list(zip(cids.tolist(), sides.tolist()))
 
     def ok_sides(self) -> list[tuple[int, int]]:
         return [(cid, i) for cid, i in self.sides() if not self.is_ko(cid, i)]
@@ -631,9 +609,11 @@ class CutMesh:
     def ko_sides(self) -> list[tuple[int, int]]:
         return [(cid, i) for cid, i in self.sides() if self.is_ko(cid, i)]
 
+    def is_cut(self, cid: int) -> bool:
+        return bool(self.cells.kind[cid] != UNCUT)
+
     def is_ko(self, cid: int, i: int) -> bool:
-        c = self.cells[cid]
-        return c.kind == ILL_CUT and c.iota == i
+        return bool(self.cells.kind[cid] == ILL_CUT and self.cells.side[cid] == i)
 
     def is_plain(self, cid: int, i: int) -> bool:
         """Whether (cid, i) is a plain sub-cell: a translated reference square.
@@ -643,10 +623,10 @@ class CutMesh:
         mask ``plain`` holds this for every cell, made once with the cut
         mesh; a plain cell has one sub-cell.
         """
-        return bool(self.plain[cid]) and i == self.cells[cid].side
+        return bool(self.plain[cid] and i == self.cells.side[cid])
 
     def cut_cells(self) -> list[int]:
-        return [c.cid for c in self.cells if c.is_cut]
+        return np.flatnonzero(self.cells.kind != UNCUT).tolist()
 
     def subfaces(self, cid: int, i: int):
         """Sub-faces of cell cid on side i as (fid, endpoints, outward normal)."""

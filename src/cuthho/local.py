@@ -73,7 +73,7 @@ from .basis import (
     transform_gradients,
 )
 from .errors import NumericalError
-from .geometry import UNCUT, CutMesh
+from .geometry import CutMesh
 from .quadrature import (
     box_rule,
     compress_rule,
@@ -277,9 +277,10 @@ class LocalOperators:
         rec = self._subcells.get((cid, i))
         if rec is None:
             cm = self.cm
-            if i not in cm.cells[cid].sides():
+            if np.isnan(cm.cells.area[cid, i]):
                 raise KeyError(f"sub-cell ({cid}, {i}) is not in the cut mesh")
-            plain = [(int(c), cm.cells[c].side) for c in np.flatnonzero(cm.plain)]
+            cids = np.flatnonzero(cm.plain)
+            plain = list(zip(cids.tolist(), cm.cells.side[cids].tolist()))
             if not self._subcells:
                 self._build([key for key in cm.sides() if not cm.plain[key[0]]] + plain[:1])
             if (cid, i) not in self._subcells:
@@ -356,9 +357,9 @@ class LocalOperators:
         cm, k, ng = self.cm, self.k, self.ng
         rules = {}
         for cid, i in keys:
-            c = cm.cells[cid]
-            rules[cid, i] = (box_rule(*cm.mesh.cell_box(cid), self._gauss_n) if c.kind == UNCUT
-                             else compress_rule(*map_to_triangles(c.tris[i], *self._tri_ref),
+            tris = cm.cells.tris.get((cid, i))  # None on an uncut cell
+            rules[cid, i] = (box_rule(*cm.mesh.cell_box(cid), self._gauss_n) if tris is None
+                             else compress_rule(*map_to_triangles(tris, *self._tri_ref),
                                                 2 * k + 3, f"sub-cell ({cid}, {i})"))
         merged = []
         for cid, i in keys:
@@ -394,7 +395,7 @@ class LocalOperators:
                         receivers[len(faces)] = j
                     blocks.append((("f", fid, i), self.nf))
                     faces.append((owner, fid, seg, nrm, index[owner, i]))
-                if i == 1 and cm.cells[owner].is_cut:
+                if i == 1 and cm.is_cut(owner):
                     arcs_j.append(owner)
                     blocks.append((("c", owner, 2), self.nc))
                 own = len(faces) if owner == cid else own
@@ -429,7 +430,7 @@ class LocalOperators:
                 FaceTables(owners[lo:hi], fids[lo:hi], proj[lo:own], flux[lo:hi]),
                 stencils[j], arcs[j])
         for cid, i in keys:
-            if i == 1 and cm.cells[cid].is_cut:
+            if i == 1 and cm.is_cut(cid):
                 self._subcells[cid, 1].interface = self._interface_tables(cid)
 
     def _monomials(self, cid: int, i: int) -> CellBasis:
@@ -437,27 +438,26 @@ class LocalOperators:
         and scaled by half the cell diameter; on the failing side of an
         ill-cut cell, of the region merged with its partner."""
         cm = self.cm
-        c = cm.cells[cid]
+        area, barycenter = cm.cells.area, cm.cells.barycenter
         scale = 0.5 * cm.mesh.h
         if cm.is_ko(cid, i):
             t = cm.partner_of(cid)
-            ct = cm.cells[t]
-            a_s, a_t = c.area[i], ct.area[i]
-            center = (a_s * c.barycenter[i] + a_t * ct.barycenter[i]) / (a_s + a_t)
+            a_s, a_t = area[cid, i], area[t, i]
+            center = (a_s * barycenter[cid, i] + a_t * barycenter[t, i]) / (a_s + a_t)
             bs = cm.mesh.cell_box(cid)
             bt = cm.mesh.cell_box(t)
             dx = max(bs[2], bt[2]) - min(bs[0], bt[0])
             dy = max(bs[3], bt[3]) - min(bs[1], bt[1])
             scale = 0.5 * float(np.hypot(dx, dy))
         else:
-            center = c.barycenter[i]
+            center = barycenter[cid, i]
         return CellBasis(self.k + 1, (float(center[0]), float(center[1])), scale)
 
     # -- geometry-backed ingredients ---------------------------------
 
     def interface_quadrature(self, cid: int):
         """Points, weights, and pointwise unit normals on the cell's polyline."""
-        poly = self.cm.cells[cid].polyline
+        poly = self.cm.cells.polyline[cid]
         pts, w = segment_rules(np.stack([poly[:-1], poly[1:]], axis=1), self._gauss_n)
         pts = pts.reshape(-1, 2)
         return pts, w.ravel(), self.cm.levelset.normals(pts)

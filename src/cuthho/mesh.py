@@ -147,6 +147,11 @@ class CartesianMesh:
             self.horizontal_face_id(ix, iy + 1),
         )
 
+    @cached_property
+    def cell_face_table(self) -> np.ndarray:
+        """(n_cells, 4): the faces of each cell, in ``cell_faces`` order."""
+        return np.stack(self.cell_faces(np.arange(self.n_cells)), axis=1)
+
     def outward_normal(self, cid: int, fid: int) -> np.ndarray:
         """Unit normal on face fid pointing out of cell cid."""
         a, _ = self.face_cells(fid)

@@ -8,7 +8,7 @@ from .geometry import ILL_CUT, UNCUT, WELL_CUT, CutMesh
 _FILL = {
     (UNCUT, 1): "#dce9f5",
     (UNCUT, 2): "#ffffff",
-    (WELL_CUT, None): "#fff2c4",
+    (WELL_CUT, 0): "#fff2c4",
     (ILL_CUT, 1): "#9fd89f",
     (ILL_CUT, 2): "#9fb8e8",
 }
@@ -24,22 +24,20 @@ def dump_cuts_svg(cm: CutMesh, path: str) -> None:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">'
     ]
-    for c in cm.cells:
-        x0, y0, x1, y1 = cm.mesh.cell_box(c.cid)
-        key = (c.kind, c.side if c.kind != WELL_CUT else None)
+    for cid, key in enumerate(zip(cm.cells.kind.tolist(), cm.cells.side.tolist())):
+        x0, y0, x1, y1 = cm.mesh.cell_box(cid)
         fill = _FILL.get(key, "#ffffff")
         lines.append(
             f'<rect x="{x0 * size:.2f}" y="{(1 - y1) * size:.2f}" '
             f'width="{(x1 - x0) * size:.2f}" height="{(y1 - y0) * size:.2f}" '
             f'fill="{fill}" stroke="#888888" stroke-width="0.5"/>'
         )
-    for c in cm.cells:
-        if c.polyline is not None:
-            pts = " ".join(pt(x, y) for x, y in c.polyline)
-            lines.append(
-                f'<polyline points="{pts}" fill="none" stroke="#cc2222" '
-                'stroke-width="1.5"/>'
-            )
+    for line in cm.cells.polyline.values():
+        pts = " ".join(pt(x, y) for x, y in line)
+        lines.append(
+            f'<polyline points="{pts}" fill="none" stroke="#cc2222" '
+            'stroke-width="1.5"/>'
+        )
     for s, t in sorted(cm.pairing.partner.items()):
         a = cm.mesh.cell_center(s)
         b = cm.mesh.cell_center(t)
@@ -61,12 +59,10 @@ def dump_cuts_svg(cm: CutMesh, path: str) -> None:
 def dump_cuts_csv(cm: CutMesh, path: str) -> None:
     with open(path, "w") as fh:
         fh.write("cell,kind,side,partner,polyline\n")
-        for c in cm.cells:
-            partner = cm.pairing.partner.get(c.cid, "")
-            poly = ""
-            if c.polyline is not None:
-                poly = ";".join(f"{x:.16g}:{y:.16g}" for x, y in c.polyline)
-            fh.write(f"{c.cid},{c.kind},{c.side or ''},{partner},{poly}\n")
+        for cid, (kind, side) in enumerate(zip(cm.cells.kind.tolist(), cm.cells.side.tolist())):
+            partner = cm.pairing.partner.get(cid, "")
+            poly = ";".join(f"{x:.16g}:{y:.16g}" for x, y in cm.cells.polyline.get(cid, ()))
+            fh.write(f"{cid},{kind},{side or ''},{partner},{poly}\n")
 
 
 def check_dump_path(path: str) -> None:

@@ -168,9 +168,9 @@ def test_dirichlet_mask_on_boundary_faces():
     cell_offset = np.full((cm.mesh.n_cells, 3), -1)
     face_offset = np.full((cm.mesh.n_faces, 3), -1)
     off = 0
-    for c in cm.cells:
-        for i in c.sides():
-            cell_offset[c.cid, i] = off
+    for cid in range(cm.mesh.n_cells):
+        for i in (1, 2) if cm.is_cut(cid) else (cm.cells.side[cid],):
+            cell_offset[cid, i] = off
             off += layout.nc
     assert layout.n_cell_dofs == off
     for fid in range(cm.mesh.n_faces):
@@ -434,13 +434,13 @@ def per_cell_assembly(cm, k, case, eta=20.0):
             a, _, bmat, st = ops.stiffness_ok(cid, i, kap[i])
             blocks.append((a, st))
             donors = cm.pairing.donors(cid, i)
-            if i == 1 and case.g_D is not None and (cm.cells[cid].is_cut or donors):
+            if i == 1 and case.g_D is not None and (cm.is_cut(cid) or donors):
                 lift = ops.lifting_coefficients(cid)
                 b[layout.stencil_indices(st)] -= kap[1] * (bmat.T @ lift)
             blocks += [ops.stab_pairing(cid, i, s, kap[i], eta) for s in donors]
         blocks.append(ops.stab_circ(cid, i, kap[i]))
         b[cell] += ops.load_volume(cid, i)
-        if i == 2 and cm.cells[cid].is_cut:
+        if i == 2 and cm.is_cut(cid):
             blocks.append(ops.stab_gamma(cid, kap[1]))
             if case.g_D is not None or case.g_N is not None:
                 r1, r2 = ops.load_interface(cid, kap[1])
@@ -510,7 +510,7 @@ def test_interface_integrated_once_per_cut_cell(monkeypatch):
     cm = build_cut_mesh(build_mesh(0), case.levelset, theta=0.3, r=4)
     rules = [LocalOperators(cm, 1).interface_quadrature(cid)[0] for cid in cm.cut_cells()]
     lengths = {len(pts) for pts in rules}
-    pairs = sum(cm.cells[s].is_cut for cid in range(len(cm.cells))
+    pairs = sum(cm.is_cut(s) for cid in range(cm.mesh.n_cells)
                 for s in cm.pairing.donors(cid, 1))
     assert pairs > 0
 
@@ -560,7 +560,7 @@ def sub_cell_ordered_coo(system):
             a = a + ops.stab_pairing(cid, i, s, kap[i], system.eta)[0]
         a = a + ops.stab_circ(cid, i, kap[i])[0]
         per_term += (nc + nf * len(cm.subfaces(cid, i))) ** 2
-        if i == 1 and cm.cells[cid].is_cut:
+        if i == 1 and cm.is_cut(cid):
             a = a + ops.stab_gamma(cid, kap[1])[0]
             per_term += (2 * nc) ** 2
         blocks.append((a, st))
@@ -633,7 +633,7 @@ def test_every_sub_cell_operator_is_on_its_reconstruction_stencil():
             got = [ops.stiffness_ok(cid, i, 1.0)[3]]
             got += [ops.stab_pairing(cid, i, s, 1.0, 20.0)[1] for s in cm.pairing.donors(cid, i)]
         got.append(ops.stab_circ(cid, i, 1.0)[1])
-        if i == 1 and cm.cells[cid].is_cut:
+        if i == 1 and cm.is_cut(cid):
             got.append(ops.stab_gamma(cid, 1.0)[1])
         assert all(st.keys == keys for st in got), (cid, i)
 

@@ -17,8 +17,8 @@ from cuthho.cases import (
 )
 from cuthho.cli import main
 from cuthho.errors import ConfigError, GeometryError
-from cuthho.geometry import build_cut_mesh
-from cuthho.levelset import Circle, interface_clear_of_boundary
+from cuthho.geometry import ILL_CUT, WELL_CUT, build_cut_mesh
+from cuthho.levelset import Circle, Square, interface_clear_of_boundary
 from cuthho.mesh import build_mesh
 from cuthho.study import (
     CSV_COLUMNS,
@@ -218,7 +218,7 @@ def test_convergence_builds_one_cut_mesh_per_level(monkeypatch):
 
     def quick_solve(cm, case, k, level, r, theta, eta, want_cond, t0):
         rec = study.RunRecord(case.name, k, level, r, theta, eta, case.kappa[1],
-                              len(cm.cells), 2.0 ** -level)
+                              cm.mesh.n_cells, 2.0 ** -level)
         return rec, None, None
 
     monkeypatch.setattr(study, "build_cut_mesh", counting_build)
@@ -327,6 +327,33 @@ def test_cli_dumps_and_matrix_export(tmp_path):
     assert code == 0
     assert csvd.read_text().startswith("cell,kind")
     assert mtx.read_text().startswith("%%MatrixMarket")
+
+
+@pytest.mark.parametrize("levelset,level", [(make_case("sinsin").levelset, 0),
+                                             (Square(delta=0.5e-5), 1)])
+def test_dump_cuts_csv_has_one_row_per_cell(levelset, level, tmp_path):
+    # each row is the cell's kind, side (none for a well-cut cell), partner
+    # and polyline; sinsin has ill-cut cells on both sides, the square
+    # front on side 1
+    cm = build_cut_mesh(build_mesh(level), levelset, theta=0.3, r=4)
+    assert cm.pairing.partner
+    path = tmp_path / "cuts.csv"
+    dump_cuts(cm, str(path))
+    header, *rows = path.read_text().splitlines()
+    assert header == "cell,kind,side,partner,polyline"
+    assert len(rows) == cm.mesh.n_cells
+    for cid, row in enumerate(rows):
+        cell, kind, side, partner, poly = row.split(",")
+        assert (int(cell), kind) == (cid, cm.cells.kind[cid])
+        assert side == ("" if kind == WELL_CUT else str(cm.cells.side[cid]))
+        assert partner == str(cm.pairing.partner.get(cid, ""))
+        if cm.is_cut(cid):
+            pts = np.array([p.split(":") for p in poly.split(";")], dtype=float)
+            assert np.allclose(pts, cm.cells.polyline[cid], rtol=1e-15, atol=0.0)
+        else:
+            assert poly == ""
+    ill = {int(row.split(",")[2]) for row in rows if row.split(",")[1] == ILL_CUT}
+    assert ill == ({1} if level else {1, 2})
 
 
 @pytest.mark.parametrize("name", ["cuts.png", "cuts", "cuts.svg.txt"])

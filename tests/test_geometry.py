@@ -12,7 +12,7 @@ from cuthho.geometry import (
     ILL_CUT,
     UNCUT,
     WELL_CUT,
-    CellCut,
+    CellCuts,
     build_cut_mesh,
     build_pairing,
     bisect_segments,
@@ -80,9 +80,8 @@ def test_polyline_arclength_second_order():
         m = build_mesh(0)
         cm = build_cut_mesh(m, CIRCLE, theta=0.0, r=r)
         total = 0.0
-        for c in cm.cells:
-            if c.polyline is not None:
-                total += np.sum(np.linalg.norm(np.diff(c.polyline, axis=0), axis=1))
+        for line in cm.cells.polyline.values():
+            total += np.sum(np.linalg.norm(np.diff(line, axis=0), axis=1))
         errors.append(abs(total - 2 * np.pi / 3.0))
     assert errors[1] > 0 and errors[2] > 0
     assert errors[0] / errors[1] >= 3.0
@@ -166,7 +165,7 @@ def test_outward_projection_scan_matches_the_full_scan(monkeypatch, case, levels
     if case is not None:
         levelset = make_case(case).levelset
     cm = build_cut_mesh(build_mesh(level), levelset, theta=0.3, r=r)
-    lines = np.array([c.polyline for c in cm.cells if c.is_cut])
+    lines = np.array([cm.cells.polyline[cid] for cid in cm.cut_cells()])
     monkeypatch.setattr(geometry, "project_onto_interface", _full_scan_projection)
     assert np.array_equal(build_polyline(lines[:, 0], lines[:, -1], levelset, r), lines)
 
@@ -175,7 +174,7 @@ def test_outward_projection_scan_evaluates_fewer_points():
     # sinsin at level 2, r=8: the full scan passed 2,230,740 points to the
     # level set in build_polyline, 33 samples and 48 halvings a point
     cm = build_cut_mesh(build_mesh(2), make_case("sinsin").levelset, theta=0.3, r=8)
-    lines = np.array([c.polyline for c in cm.cells if c.is_cut])
+    lines = np.array([cm.cells.polyline[cid] for cid in cm.cut_cells()])
     counting = _CountingLevelSet(make_case("sinsin").levelset)
     assert np.array_equal(build_polyline(lines[:, 0], lines[:, -1], counting, 8), lines)
     assert counting.points <= 0.65 * 2_230_740
@@ -237,13 +236,13 @@ def test_batched_polylines_match_one_row_refinement(levelset, level, r):
         assert re.match(r"(cell \d+: |face \d+ \()", str(exc)), str(exc)
         return
     for cid in cm.cut_cells():
-        c = cm.cells[cid]
-        line = c.polyline
+        area = cm.cells.area[cid]
+        line = cm.cells.polyline[cid]
         alone = build_polyline(line[:1], line[-1:], levelset, r)
         assert alone.shape == (1, 2**r + 1, 2)
         assert np.array_equal(alone[0], line)
         assert np.max(levelset.distance_estimate(line)) <= 1e-12 * s
-        assert abs(c.area[1] + c.area[2] - s * s) <= 1e-12 * s * s
+        assert abs(area[1] + area[2] - s * s) <= 1e-12 * s * s
 
 
 @settings(max_examples=30, deadline=None)
@@ -267,7 +266,7 @@ def test_cut_sub_cell_rules_compress_the_fan_rule(levelset, level, k, r):
     exps = monomial_exponents(degree)
     for cid in cm.cut_cells():
         for i in (1, 2):
-            fine_pts, fine_w = map_to_triangles(cm.cells[cid].tris[i], *fan)
+            fine_pts, fine_w = map_to_triangles(cm.cells.tris[cid, i], *fan)
             pts, w = ops.volume_quadrature(cid, i)
             as_complex = [p[:, 0] + 1j * p[:, 1] for p in (pts, fine_pts)]
             assert np.all(np.isin(*as_complex)), (cid, i)
@@ -290,21 +289,22 @@ def test_cut_sub_cell_rules_compress_the_fan_rule(levelset, level, k, r):
 def test_subtriangulation_straight_split_areas():
     m = build_mesh(0)
     cm = build_cut_mesh(m, Line((0.37, 0.0)), theta=0.0, r=4)
-    c = cm.cells[m.cell_id(3, 3)]
-    assert c.is_cut
-    assert c.area[1] == pytest.approx(0.007, abs=1e-15)
-    assert c.area[2] == pytest.approx(0.003, abs=1e-15)
+    cid = m.cell_id(3, 3)
+    area = cm.cells.area[cid]
+    assert cm.is_cut(cid)
+    assert area[1] == pytest.approx(0.007, abs=1e-15)
+    assert area[2] == pytest.approx(0.003, abs=1e-15)
 
 
 def test_partition_identity_circle():
     m = build_mesh(1)
     cm = build_cut_mesh(m, CIRCLE, theta=0.3, r=6)
     cell_area = m.cell_size**2
-    for c in cm.cells:
-        if c.is_cut:
-            assert abs(c.area[1] + c.area[2] - cell_area) <= 1e-12 * cell_area
-            for i in (1, 2):
-                assert np.all(triangle_areas(c.tris[i]) > 0)
+    for cid in cm.cut_cells():
+        area = cm.cells.area[cid]
+        assert abs(area[1] + area[2] - cell_area) <= 1e-12 * cell_area
+        for i in (1, 2):
+            assert np.all(triangle_areas(cm.cells.tris[cid, i]) > 0)
 
 
 def test_disk_area_converges_second_order():
@@ -312,7 +312,7 @@ def test_disk_area_converges_second_order():
     for r in (2, 3, 4):
         m = build_mesh(0)
         cm = build_cut_mesh(m, CIRCLE, theta=0.0, r=r)
-        a1 = sum(c.area.get(1, 0.0) for c in cm.cells)
+        a1 = np.nansum(cm.cells.area[:, 1])
         errors.append(abs(a1 - np.pi / 9.0))
     assert errors[0] / errors[1] >= 3.0
     assert errors[1] / errors[2] >= 3.0
@@ -322,7 +322,7 @@ def test_flower_area_matches_circle_area():
     # the cos(8 theta) modulation integrates to zero, so |inside| = pi R^2
     m = build_mesh(2)
     cm = build_cut_mesh(m, Flower(), theta=0.3, r=8)
-    a1 = sum(c.area.get(1, 0.0) for c in cm.cells)
+    a1 = np.nansum(cm.cells.area[:, 1])
     assert a1 == pytest.approx(np.pi / 9.0, abs=1e-7)
 
 
@@ -341,10 +341,10 @@ def test_square_interface_corner_cell():
     deficits = []
     for r in (4, 6, 8):
         cm = build_cut_mesh(m, Square(delta=0.005), theta=0.3, r=r)
-        corner = cm.cells[m.cell_id(7, 7)]
-        assert corner.is_cut
-        assert abs(corner.area[1] + corner.area[2] - s) <= 1e-12 * s
-        deficits.append(abs(corner.area[1] - 0.055**2))
+        corner = cm.cells.area[m.cell_id(7, 7)]
+        assert cm.is_cut(m.cell_id(7, 7))
+        assert abs(corner[1] + corner[2] - s) <= 1e-12 * s
+        deficits.append(abs(corner[1] - 0.055**2))
     assert deficits[0] > deficits[1] > deficits[2]
     assert deficits[2] <= 1e-5
 
@@ -354,16 +354,16 @@ def test_square_interface_corner_cell():
 def test_uncut_inside_circle():
     m = build_mesh(0)
     cm = build_cut_mesh(m, CIRCLE, theta=0.3, r=4)
-    c = cm.cells[m.cell_id(4, 4)]  # [0.4,0.5]^2 inside the circle
-    assert c.kind == UNCUT and c.side == 1
-    c = cm.cells[m.cell_id(0, 0)]
-    assert c.kind == UNCUT and c.side == 2
+    c = m.cell_id(4, 4)  # [0.4,0.5]^2 inside the circle
+    assert cm.cells.kind[c] == UNCUT and cm.cells.side[c] == 1
+    c = m.cell_id(0, 0)
+    assert cm.cells.kind[c] == UNCUT and cm.cells.side[c] == 2
 
 
 def test_theta_zero_all_well_cut():
     m = build_mesh(0)
     cm = build_cut_mesh(m, CIRCLE, theta=0.0, r=4)
-    kinds = {c.kind for c in cm.cells if c.is_cut}
+    kinds = set(cm.cells.kind[cm.cut_cells()].tolist())
     assert kinds == {WELL_CUT}
     assert len(cm.pairing) == 0
 
@@ -374,11 +374,11 @@ def test_sliver_is_ill_cut_on_the_sliver_side():
     cm = build_cut_mesh(m, Line((0.7 + delta, 0.0)), theta=0.3, r=2)
     tau = 0.3 * 0.5 * m.cell_size
     for iy in range(m.n):
-        c = cm.cells[m.cell_id(7, iy)]
-        assert c.kind == ILL_CUT
-        assert c.iota == 1  # the sliver lies on side 1
-        assert c.rho[1] < tau <= c.rho[2]
-        assert cm.pairing.partner[c.cid] in m.neighborhood(c.cid, 1)
+        c = m.cell_id(7, iy)
+        assert cm.cells.kind[c] == ILL_CUT
+        assert cm.cells.side[c] == 1  # the sliver lies on side 1
+        assert cm.cells.rho[c, 1] < tau <= cm.cells.rho[c, 2]
+        assert cm.pairing.partner[c] in m.neighborhood(c, 1)
 
 
 def test_both_sides_ill_cut_error():
@@ -450,47 +450,72 @@ def test_two_crossings_of_one_face_rejected():
         build_cut_mesh(m, TwoLines(), theta=0.0, r=2)
 
 
+class _Kinked(LevelSet):
+    """phi = max of two lines at level 0, or its min with a small circle
+    ``loop``.  The first line passes 'eps' left of vertex v and cuts a
+    corner too small to triangulate off cell 22; the second runs through
+    vertex w, so cell 65 below-left of w has one crossing only.  A loop
+    inside one cell crosses none of its faces."""
+
+    def __init__(self, eps, loop=None):
+        m = build_mesh(0)
+        self.v = m.cell_vertices(m.cell_id(3, 2))[0]
+        self.w = m.cell_vertices(m.cell_id(6, 7))[0]
+        self.eps, self.loop = eps, loop
+
+    def _branches(self, pts):
+        pts = np.atleast_2d(pts)
+        x, y = pts[:, 0], pts[:, 1]
+        v, w = self.v, self.w
+        return (x - (v[0] - self.eps + 0.7 * (y - v[1])),
+                x - (w[0] + 0.4 * (y - w[1])))
+
+    def value(self, pts):
+        phi = np.maximum(*self._branches(pts))
+        return phi if self.loop is None else np.minimum(phi, self.loop.value(pts))
+
+    def gradient(self, pts):
+        one, two = self._branches(pts)
+        g = np.ones((len(one), 2))
+        g[:, 1] = np.where(one >= two, -0.7, -0.4)
+        if self.loop is not None:
+            inside = self.loop.value(pts) < np.maximum(one, two)
+            g[inside] = self.loop.gradient(pts)[inside]
+        return g
+
+
 def test_first_faulty_cell_in_cell_order_is_reported():
-    # phi = max of two lines.  The first passes 'eps' left of vertex v and
-    # cuts a corner too small to triangulate off cell 22; the second runs
-    # through vertex w, so cell 65 below-left of w has one crossing only.
+    # see _Kinked: cell 65 fails its crossing walk, cell 22 its triangulation
     m = build_mesh(0)
-    v = m.cell_vertices(m.cell_id(3, 2))[0]
-    w = m.cell_vertices(m.cell_id(6, 7))[0]
-
-    class Kinked(LevelSet):
-        def __init__(self, eps):
-            self.eps = eps
-
-        def _branches(self, pts):
-            pts = np.atleast_2d(pts)
-            x, y = pts[:, 0], pts[:, 1]
-            return (x - (v[0] - self.eps + 0.7 * (y - v[1])),
-                    x - (w[0] + 0.4 * (y - w[1])))
-
-        def value(self, pts):
-            return np.maximum(*self._branches(pts))
-
-        def gradient(self, pts):
-            one, two = self._branches(pts)
-            g = np.ones((len(one), 2))
-            g[:, 1] = np.where(one >= two, -0.7, -0.4)
-            return g
-
     with pytest.raises(GeometryError, match=r"^cell 65: disconnected cut: "
                        r"expected two boundary crossings$"):
-        build_cut_mesh(m, Kinked(1e-3), theta=0.0, r=4)
+        build_cut_mesh(m, _Kinked(1e-3), theta=0.0, r=4)
     # cell 22 fails in triangulation, after cell 65's crossing walk has failed
     with pytest.raises(GeometryError,
                        match=r"^cell 22: degenerate triangle: empty sub-cell$"):
-        build_cut_mesh(m, Kinked(1e-9), theta=0.0, r=4)
+        build_cut_mesh(m, _Kinked(1e-9), theta=0.0, r=4)
+
+
+@pytest.mark.parametrize("eps,faulty", [(1e-3, 65), (1e-9, 22)])
+def test_interface_loop_in_an_uncrossed_cell_is_reported_in_cell_order(eps, faulty):
+    # a circle of radius 0.01 around a sample point of one cell crosses none
+    # of its faces: in cell 4 it is the first faulty cell, in cell 99 the
+    # kinked front's cell 65 or 22 still is
+    m = build_mesh(0)
+    loop = Circle((0.45625, 0.05625), 0.01)
+    with pytest.raises(GeometryError, match=r"^cell 4: disconnected cut: "
+                       r"interface loop inside an uncrossed cell$"):
+        build_cut_mesh(m, _Kinked(eps, loop), theta=0.0, r=4)
+    loop = Circle((0.95625, 0.95625), 0.01)
+    with pytest.raises(GeometryError, match=rf"^cell {faulty}: "):
+        build_cut_mesh(m, _Kinked(eps, loop), theta=0.0, r=4)
 
 
 def test_classification_deterministic():
     m = build_mesh(0)
     a = build_cut_mesh(m, CIRCLE, theta=0.3, r=4)
     b = build_cut_mesh(m, CIRCLE, theta=0.3, r=4)
-    assert [(c.kind, c.side) for c in a.cells] == [(c.kind, c.side) for c in b.cells]
+    assert list(zip(a.cells.kind, a.cells.side)) == list(zip(b.cells.kind, b.cells.side))
     assert a.pairing.partner == b.pairing.partner
 
 
@@ -499,32 +524,33 @@ def test_classification_deterministic():
 def test_pairing_circle_level0():
     m = build_mesh(0)
     cm = build_cut_mesh(m, CIRCLE, theta=0.3, r=4)
-    ill = [c.cid for c in cm.cells if c.kind == ILL_CUT]
+    ill = np.flatnonzero(cm.cells.kind == ILL_CUT).tolist()
     assert ill, "expected ill-cut cells at this theta"
     assert sorted(cm.pairing.partner) == ill
     for s in ill:
         t = cm.pairing.partner[s]
         assert t in m.neighborhood(s, 1) and t != s
-        i = cm.cells[s].iota
+        i = cm.cells.side[s]
         assert (i, s) in cm.pairing.inverse[t]
-        partner = cm.cells[t]
+        kind, side = cm.cells.kind[t], cm.cells.side[t]
         assert (
-            (partner.kind == UNCUT and partner.side == i)
-            or partner.kind == WELL_CUT
-            or (partner.kind == ILL_CUT and partner.iota != i)
+            (kind == UNCUT and side == i)
+            or kind == WELL_CUT
+            or (kind == ILL_CUT and side != i)
         )
 
 
 def _fake_cells(mesh, spec):
-    """CellCut table from {cid: (kind, side, areas)} with uncut side-2 filler."""
-    cells = []
-    s2 = mesh.cell_size**2
-    for cid in range(mesh.n_cells):
-        kind, side, areas = spec.get(cid, (UNCUT, 2, {2: s2}))
-        cc = CellCut(cid, kind, side)
-        cc.area.update(areas)
-        cells.append(cc)
-    return cells
+    """CellCuts table from {cid: (kind, side, areas)} with uncut side-2 filler."""
+    n = mesh.n_cells
+    kind, side = np.full(n, UNCUT, dtype="<U5"), np.full(n, 2)
+    area = np.full((n, 3), np.nan)
+    area[:, 2] = mesh.cell_size**2
+    for cid, (k, sd, areas) in spec.items():
+        kind[cid], side[cid], area[cid] = k, sd or 0, np.nan
+        for i, a in areas.items():
+            area[cid, i] = a
+    return CellCuts(kind, side, area, np.full((n, 3, 2), np.nan), np.full((n, 3), np.nan), {}, {})
 
 
 def test_pairing_step4_reciprocal():
@@ -581,7 +607,7 @@ def test_inverse_consistency():
     for t, entries in cm.pairing.inverse.items():
         for i, s in entries:
             assert cm.pairing.partner[s] == t
-            assert cm.cells[s].iota == i
+            assert cm.cells.side[s] == i
     n_inverse = sum(len(v) for v in cm.pairing.inverse.values())
     assert n_inverse == len(cm.pairing.partner)
 
@@ -601,9 +627,9 @@ def test_random_circles_partition_and_classify(radius, cx, cy, theta):
     except GeometryError:
         return  # degenerate configuration, rejection is the contract
     cell_area = m.cell_size**2
-    for c in cm.cells:
-        if c.is_cut:
-            assert abs(c.area[1] + c.area[2] - cell_area) <= 1e-11 * cell_area
-            assert np.max(np.abs(ls.value(c.polyline))) <= 1e-11
-    total = sum(sum(c.area.values()) for c in cm.cells)
+    for cid in cm.cut_cells():
+        area = cm.cells.area[cid]
+        assert abs(area[1] + area[2] - cell_area) <= 1e-11 * cell_area
+        assert np.max(np.abs(ls.value(cm.cells.polyline[cid]))) <= 1e-11
+    total = np.nansum(cm.cells.area)
     assert abs(total - 1.0) <= 1e-10

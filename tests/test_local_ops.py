@@ -25,8 +25,8 @@ from cuthho.assembly import DofLayout, PlainCells, assemble, interpolate_polynom
 from cuthho.basis import CellBasis, expand_in_basis, poly_diff
 from cuthho.cases import make_case
 from cuthho.errors import NumericalError
-from cuthho.geometry import build_cut_mesh
-from cuthho.levelset import Circle, Line, Square
+from cuthho.geometry import UNCUT, WELL_CUT, build_cut_mesh
+from cuthho.levelset import Circle, Flower, Line, Square
 from cuthho.local import LocalOperators, orthonormal_basis
 from cuthho.mesh import build_mesh
 from cuthho.study import solve_single
@@ -108,8 +108,8 @@ def test_reconstruction_basis_orthonormal_on_cut_and_extended_sub_cells():
     k = 3
     ops = LocalOperators(cm, k)
     ok = cm.ok_sides()
-    assert any(cm.cells[cid].is_cut for cid, _ in ok)
-    assert any(not cm.cells[cid].is_cut and cm.pairing.donors(cid, i) for cid, i in ok)
+    assert any(cm.is_cut(cid) for cid, _ in ok)
+    assert any(not cm.is_cut(cid) and cm.pairing.donors(cid, i) for cid, i in ok)
     assert any(cm.is_plain(cid, i) for cid, i in ok)
     assert cm.ko_sides()
     ng = ops.ng
@@ -147,7 +147,7 @@ def test_orthonormal_basis_guards_degenerate_region():
 def test_volume_tables_are_kept_per_sub_cell():
     cm = build_cut_mesh(build_mesh(0), CIRCLE, theta=0.3, r=4)
     ops = LocalOperators(cm, 3)
-    (cid, i), other = [s for s in cm.ok_sides() if cm.cells[s[0]].is_cut][:2]
+    (cid, i), other = [s for s in cm.ok_sides() if cm.is_cut(s[0])][:2]
     tables = ops.volume_tables(cid, i)
     ghat = ops.gradient_reconstruction(cid, i)[0]
     other_tables = ops.volume_tables(*other)
@@ -224,7 +224,7 @@ def per_face_oracle(ops, cid, i):
                     wn = fw * nrm[comp]
                     b[rows, fcols] += phif.T @ (wn[:, None] * chi)
                     b[rows, ocols] -= phif.T @ (wn[:, None] * psi)
-            if i == 1 and cm.cells[owner].is_cut:
+            if i == 1 and cm.is_cut(owner):
                 flux = ops.interface_tables(owner).flux
                 b[:, st.cols(("c", owner, 1), nc)] -= flux[:, :nc]
                 b[:, st.cols(("c", owner, 2), nc)] += flux[:, nc:]
@@ -337,7 +337,7 @@ def test_assemble_compresses_rules_only_inside_volume_tables(monkeypatch):
     monkeypatch.setattr(LocalOperators, "volume_tables", nested)
     monkeypatch.setattr(LocalOperators, "interface_quadrature", counting_interface)
     assemble(cm, 3, kappa=case.kappa, case=case)
-    cut_sides = sum(len(cm.cells[cid].sides()) for cid in cm.cut_cells())
+    cut_sides = sum(cm.is_cut(cid) for cid, _ in cm.sides())
     assert calls == [True] * cut_sides  # each cut sub-cell's rule, once
     # and each cut cell's interface tables, on its arc's rule, once
     assert arcs == [(cid, True) for cid in cm.cut_cells()]
@@ -404,8 +404,8 @@ def test_volume_tables_of_a_missing_sub_cell_builds_nothing(monkeypatch):
     plain = [key for key in cm.sides() if cm.is_plain(*key)]
     kept = ops.volume_tables(*plain[-1])
     assert builds[0] == 2  # both stacks
-    cid = next(c.cid for c in cm.cells if not c.is_cut)
-    i = 3 - cm.cells[cid].side
+    cid = next(c for c in range(cm.mesh.n_cells) if not cm.is_cut(c))
+    i = 3 - cm.cells.side[cid]
     for _ in range(2):
         with pytest.raises(KeyError, match=rf"sub-cell \({cid}, {i}\)"):
             ops.volume_tables(cid, i)
@@ -423,7 +423,7 @@ def test_interface_arcs_are_the_cut_owners_on_side_1():
     for cid, i in cm.sides():
         owners = [cid, *cm.pairing.donors(cid, i)]
         assert ops.interface_arcs(cid, i) == [
-            o for o in owners if i == 1 and cm.cells[o].is_cut], (cid, i)
+            o for o in owners if i == 1 and cm.is_cut(o)], (cid, i)
 
 
 def test_error_pass_quadrature_is_the_tables_bit_for_bit():
@@ -441,7 +441,7 @@ def test_error_pass_quadrature_is_the_tables_bit_for_bit():
 def is_plain_oracle(cm, cid, i):
     """The three-clause rule for one sub-cell: an uncut cell without donors
     on side i, whose four faces all lie on side i."""
-    return (not cm.cells[cid].is_cut and not cm.pairing.donors(cid, i)
+    return (not cm.is_cut(cid) and not cm.pairing.donors(cid, i)
             and all(cm.faces.sides[f, i] for f in cm.mesh.cell_faces(cid)))
 
 
@@ -460,7 +460,7 @@ def test_plain_sub_cells_match_the_reference_element(name, level, k):
     cm = build_cut_mesh(build_mesh(level), levelset, theta=0.3, r=4)
     assert [cm.is_plain(c, i) for c, i in cm.sides()] == [
         is_plain_oracle(cm, c, i) for c, i in cm.sides()]
-    assert len(cm.pairing) > 0 and 0 < cm.plain.sum() < len(cm.cells)
+    assert len(cm.pairing) > 0 and 0 < cm.plain.sum() < cm.mesh.n_cells
     ops = LocalOperators(cm, k)
     plain = PlainCells.build(ops, DofLayout.build(cm, k), kappa)
     assert [(c, i) for c, i in zip(plain.cids, plain.sides)] == [
@@ -477,6 +477,39 @@ def test_plain_sub_cells_match_the_reference_element(name, level, k):
         ek1 = ops.volume_tables(cid, i).ek1
         for got, ref in ((a, a_ref), (s, s_ref), (ek1, plain.ek1)):
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("levelset,level", [
+    (CIRCLE, 0), (CIRCLE, 1), (CIRCLE, 2), (Square(delta=0.5e-5), 1),
+    (Flower(amplitude=0.02), 1)])
+def test_cell_table_tiles_every_cell(levelset, level):
+    # every cell's cut in one table: the sub-cells present are the NaN-free
+    # entries of each column, an uncut cell is its whole square, a cut cell's
+    # two sub-cells tile it, and the plain mask is the three-clause rule
+    m = build_mesh(level)
+    cm = build_cut_mesh(m, levelset, theta=0.3, r=8)
+    cells, s = cm.cells, m.cell_size
+    with pytest.raises(TypeError):
+        cells[0]  # one table, not a record per cell
+    cut = cells.kind != UNCUT
+    assert cut.any() and not cut.all()
+    want = [(cid, i) for cid in range(m.n_cells)
+            for i in ((1, 2) if cut[cid] else (cells.side[cid],))]
+    assert cm.sides() == want
+    present = np.zeros((m.n_cells, 3), dtype=bool)
+    present[tuple(np.array(want).T)] = True
+    for column in (cells.area, cells.barycenter[..., 0], cells.barycenter[..., 1], cells.rho):
+        assert np.array_equal(~np.isnan(column), present)
+    assert list(cells.polyline) == cm.cut_cells()
+    assert sorted(cells.tris) == [(cid, i) for cid in cm.cut_cells() for i in (1, 2)]
+    for cid in np.flatnonzero(~cut):
+        i = cells.side[cid]
+        assert i in (1, 2) and cells.area[cid, i] == s * s and cells.rho[cid, i] == 0.5 * s
+        assert cells.barycenter[cid, i].tobytes() == m.cell_center(cid).tobytes()
+    for cid in np.flatnonzero(cut):
+        assert abs(cells.area[cid, 1] + cells.area[cid, 2] - s * s) <= 1e-12 * s * s
+        assert cells.side[cid] in ((0,) if cells.kind[cid] == WELL_CUT else (1, 2))
+    assert [cm.is_plain(c, i) for c, i in want] == [is_plain_oracle(cm, c, i) for c, i in want]
 
 
 @pytest.mark.parametrize("k", range(4))
@@ -537,8 +570,8 @@ def test_lifting_uncut_without_pairing_is_zero():
     cm = build_cut_mesh(build_mesh(0), CIRCLE, theta=0.3, r=4)
     ops = LocalOperators(cm, 1, with_data(g_D=lambda pts: np.ones(len(pts))))
     uncut_inside = [
-        c.cid for c in cm.cells
-        if c.kind == "uncut" and c.side == 1 and not cm.pairing.donors(c.cid, 1)
+        c for c in range(cm.mesh.n_cells)
+        if cm.cells.kind[c] == "uncut" and cm.cells.side[c] == 1 and not cm.pairing.donors(c, 1)
     ]
     l = ops.lifting_coefficients(uncut_inside[0])
     assert np.allclose(l, 0.0)
@@ -695,7 +728,7 @@ def test_stab_pairing_values():
     # v_S = 1, v_T = 0: eta/h^2 * |T^i|
     x = np.zeros(layout.n_total)
     x[layout.indices(("c", s_cid, i))[0]] = 1.0
-    area_t = cm.cells[t_cid].area[i]
+    area_t = cm.cells.area[t_cid, i]
     want = eta / m.h**2 * area_t
     assert quadratic_form(smat, st, layout, x) == pytest.approx(want, rel=1e-12)
 

@@ -56,6 +56,19 @@ def test_face_cell_incidence_total_and_symmetric():
         assert m.boundary_faces.sum() == 4 * m.n
 
 
+def test_cell_face_table_is_the_twin_of_the_face_cell_table():
+    for level in (0, 1, 2):
+        m = build_mesh(level)
+        table = m.cell_face_table
+        assert table.shape == (m.n_cells, 4)
+        assert [tuple(row) for row in table.tolist()] == [m.cell_faces(c) for c in range(m.n_cells)]
+        # each cell is on one side of each of its faces
+        owners = m.face_cell_table[table]  # (n_cells, 4, 2)
+        assert np.array_equal((owners == np.arange(m.n_cells)[:, None, None]).sum(axis=2),
+                              np.ones((m.n_cells, 4), dtype=int))
+        assert m.cell_face_table is table  # cached
+
+
 def test_cell_areas_sum_to_one():
     for level in (0, 1):
         m = build_mesh(level)
