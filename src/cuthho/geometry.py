@@ -9,17 +9,19 @@ containing or failing side, and each sub-cell's area, barycenter and
 inscribed-radius estimate rho, with the interface polyline (2**r chords
 obtained by recursive midpoint projection onto the zero set) and the
 sub-cell triangulations used for quadrature of every cut cell.  Its uncut
-rows are filled by array operations, its cut rows one cell at a time,
-and rho drives the well-cut / ill-cut classification.  The pairing map
-assigns every ill-cut cell a neighbor with a usable sub-cell on the
-failing side.
+rows are filled by array operations, and rho drives the well-cut /
+ill-cut classification.  The pairing map assigns every ill-cut cell a
+neighbor with a usable sub-cell on the failing side.
 
-The polyline refinement is batched over cells: ``build_cut_mesh`` walks
-the boundary of every cut cell first, then refines the polylines of all
-of them together, one projection per refinement level, and then
-triangulates and classifies the cells in cell order.  A cell's polyline
-is bit for bit the one it would get alone, and the error reported is
-that of the first faulty cell in cell order.
+The cut rows are built in stacked passes over all cut cells:
+``build_cut_mesh`` walks the boundary of every cut cell, refines the
+polylines of all of them together, one projection per refinement level,
+fans the sub-cell polygons in stacks of one length, and measures areas,
+barycenters and rho in stacks of one triangle count.  Only the polygons
+that no anchor fans are ear-clipped one at a time.  A cell's row is bit
+for bit the one it would get alone, and each cell keeps its first error
+in stage order (walk, side 1, side 2, rho); the error reported is that
+of the first faulty cell in cell order.
 
 Each background face is assumed to be crossed at most once and each cut
 cell to contain a single interface arc with two boundary crossings;
@@ -155,22 +157,6 @@ def build_polyline(a, b, levelset: LevelSet, r: int) -> np.ndarray:
 # polygon triangulation
 # ----------------------------------------------------------------------
 
-def _shoelace(poly: np.ndarray) -> float:
-    # center first; the raw formula loses ~n*eps of absolute accuracy
-    x = poly[:, 0] - poly[:, 0].mean()
-    y = poly[:, 1] - poly[:, 1].mean()
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-
-def _fan_triangles(poly: np.ndarray, anchor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    nxt = np.roll(poly, -1, axis=0)
-    e1 = poly - anchor
-    e2 = nxt - anchor
-    signed = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    tris = np.stack([np.broadcast_to(anchor, poly.shape), poly, nxt], axis=1)
-    return tris, signed
-
-
 def _ear_clip(poly: np.ndarray, eps_area: float) -> np.ndarray:
     ids = list(range(len(poly)))
     tris: list[np.ndarray] = []
@@ -214,30 +200,64 @@ def _any_strictly_inside(a, b, c, pts: np.ndarray, eps_area: float) -> bool:
     return bool(np.any((s1 > tol) & (s2 > tol) & (s3 > tol)))
 
 
-def triangulate_polygon(poly: np.ndarray, cell_area: float,
-                        extra_anchors: tuple = ()) -> np.ndarray:
-    """Partition a simple CCW polygon into positively oriented triangles.
+def triangulate_polygon(polys: np.ndarray, anchors: np.ndarray, cell_area: float):
+    """Partition a stack of simple polygons of one length, (m, n, 2) and
+    either orientation, into positively oriented triangles.
 
-    Fans from an interior anchor when the polygon is star-shaped with
-    respect to it: first the vertex centroid, then any caller-provided
-    anchors (a point on the interface arc rescues the sub-cells that are
-    weakly concave along the arc).  Genuinely non-star-shaped polygons
-    (corner cells of square-like interfaces) fall back to ear clipping.
-    Triangles below 1e-14 of the cell area are dropped.
+    Fans each polygon from the first anchor it is star-shaped with respect
+    to: first its vertex centroid, then its row of ``anchors`` (m, a, 2) in
+    order (chain corners rescue the sub-cells that are concave along the
+    arc).  Each anchor is tried on the polygons still open only.  Genuinely
+    non-star-shaped polygons (corner cells of square-like interfaces) fall
+    back to ear clipping, one at a time.  Triangles below 1e-14 of the cell
+    area are dropped.
+
+    Returns the triangles grouped by count, as pairs of polygon rows and
+    their triangles (rows, K, 3, 2), and a dict row -> error message for
+    the polygons that leave no triangle or that ear clipping fails on.
     """
-    eps_area = 1e-14 * cell_area
-    if _shoelace(poly) < 0:
-        poly = poly[::-1]
-    target = _shoelace(poly)
-    for anchor in (poly.mean(axis=0), *extra_anchors):
-        tris, signed = _fan_triangles(poly, anchor)
-        if np.all(signed >= -eps_area) and abs(signed.sum() - target) <= 1e-12 * cell_area:
-            return tris[signed > eps_area]
-    tris = _ear_clip(poly, eps_area)
-    total = triangle_areas(tris).sum() if len(tris) else 0.0
-    if abs(total - target) > 1e-11 * cell_area:
-        raise GeometryError("degenerate triangle: sub-cell area mismatch")
-    return tris
+    eps = 1e-14 * cell_area
+    polys = np.array(polys, dtype=float)
+    x, y = (polys[..., j] - polys[:, :1, j] for j in (0, 1))  # the raw formula loses ~n*eps
+    target = 0.5 * ((x * np.roll(y, -1, axis=1)).sum(axis=1)
+                    - (y * np.roll(x, -1, axis=1)).sum(axis=1))
+    polys[target < 0] = polys[target < 0, ::-1]
+    target = np.abs(target)
+    nxt = np.roll(polys, -1, axis=1)
+    (x, y), (xn, yn) = np.moveaxis(polys, 2, 0).copy(), np.moveaxis(nxt, 2, 0).copy()
+    # each polygon's mean(axis=0), summed over the vertices in order
+    centroid = np.ascontiguousarray(polys.swapaxes(0, 1)).sum(axis=0) / polys.shape[1]
+    groups, errors = [], {}
+    rows = np.arange(len(polys))  # the polygons still open
+    for anchor in (centroid, *anchors.swapaxes(0, 1)):
+        ax, ay = anchor[rows, 0, None], anchor[rows, 1, None]
+        signed = 0.5 * ((x[rows] - ax) * (yn[rows] - ay) - (y[rows] - ay) * (xn[rows] - ax))
+        fans = ((signed >= -eps).all(axis=1)
+                & (np.abs(signed.sum(axis=1) - target[rows]) <= 1e-12 * cell_area))
+        keep = signed[fans] > eps
+        count = keep.sum(axis=1)
+        for k in np.unique(count).tolist():
+            g, kg = rows[fans][count == k], keep[count == k]
+            tris = np.empty((len(g), k, 3, 2))
+            tris[:, :, 0] = anchor[g, None]
+            tris[:, :, 1] = polys[g][kg].reshape(len(g), k, 2)
+            tris[:, :, 2] = nxt[g][kg].reshape(len(g), k, 2)
+            groups.append((g, tris))
+        rows = rows[~fans]
+    for row in rows.tolist():
+        try:
+            tris = _ear_clip(polys[row], eps)
+        except GeometryError as exc:
+            errors[row] = str(exc)
+            continue
+        if abs(triangle_areas(tris).sum() - target[row]) > 1e-11 * cell_area:
+            errors[row] = "degenerate triangle: sub-cell area mismatch"
+        else:
+            groups.append((np.array([row]), tris[None]))
+    for rows, tris in groups:
+        if not tris.shape[1]:
+            errors.update(dict.fromkeys(rows.tolist(), "degenerate triangle: empty sub-cell"))
+    return [(rows, tris) for rows, tris in groups if tris.shape[1]], errors
 
 
 # ----------------------------------------------------------------------
@@ -334,114 +354,110 @@ class CellCuts:
     tris: dict[tuple[int, int], np.ndarray]  # (cut cell, i) -> the triangles of sub-cell i
 
 
-def _incenters(tris: np.ndarray) -> np.ndarray:
-    a = np.linalg.norm(tris[:, 2] - tris[:, 1], axis=1)
-    b = np.linalg.norm(tris[:, 0] - tris[:, 2], axis=1)
-    c = np.linalg.norm(tris[:, 1] - tris[:, 0], axis=1)
-    w = a + b + c
-    return (
-        a[:, None] * tris[:, 0] + b[:, None] * tris[:, 1] + c[:, None] * tris[:, 2]
-    ) / w[:, None]
-
-
-def _rho_estimate(levelset: LevelSet, box, tris: np.ndarray,
-                  grid_pts: np.ndarray) -> float:
-    """Largest sampled radius of a ball inside the sub-cell.
-
-    Samples sub-triangulation vertices, triangle incenters, and the
-    classification grid points on this side; the radius at a sample is the
-    smaller of the distance to the cell boundary and the first-order
-    distance to the interface.
-    """
+def _largest_ball(levelset: LevelSet, x: np.ndarray, y: np.ndarray, box, use) -> np.ndarray:
+    """For each column of the points (x, y), shape (p, m), all inside the
+    column's cell box (x0, y0, x1, y1), the largest sampled radius of a ball
+    inside the cell: the smaller of the distance to the box and the
+    first-order distance to the interface, at the points ``use`` selects."""
     x0, y0, x1, y1 = box
-    samples = [tris.reshape(-1, 2), _incenters(tris)]
-    if len(grid_pts):
-        samples.append(grid_pts)
-    pts = np.vstack(samples)
-    d_box = np.minimum.reduce(
-        [pts[:, 0] - x0, x1 - pts[:, 0], pts[:, 1] - y0, y1 - pts[:, 1]]
-    )
-    d_gamma = levelset.distance_estimate(pts)
-    return float(np.max(np.minimum(np.maximum(d_box, 0.0), d_gamma)))
+    radii = np.minimum(np.minimum(x - x0, x1 - x), np.minimum(y - y0, y1 - y))
+    use = np.broadcast_to(use, x.shape)
+    radii[use] = np.minimum(np.maximum(radii[use], 0.0),
+                            levelset.distance_estimate(np.stack([x[use], y[use]], axis=1)))
+    radii[~use] = -np.inf
+    return radii.max(axis=0)
 
 
-class _Walk(NamedTuple):
-    """A cut cell's boundary walk: crossings a, b and the corners between."""
+def _measure_sub_cells(cells: CellCuts, mesh: CartesianMesh, levelset: LevelSet,
+                       cids: np.ndarray, sides: np.ndarray, tris: np.ndarray,
+                       gpts: np.ndarray, gneg: np.ndarray) -> None:
+    """Write the area, barycenter and rho of sub-cells (cids, sides) from
+    their triangles, a stack of one count (m, K, 3, 2).
 
-    a: np.ndarray
-    b: np.ndarray
-    side1: int  # side of chain1, the corners met walking CCW from a to b
-    chain1: np.ndarray
-    side2: int  # side of chain2, the corners met walking CCW from b to a
-    chain2: np.ndarray
+    The work runs on coordinate arrays (K, m), one column a sub-cell, so
+    the barycenter's sum over the triangles goes in order, as the sum of
+    one sub-cell's (K, 2) rows does; the area's sum runs over each
+    sub-cell's contiguous row, as a 1-d sum does.  Norms of 2-vectors and
+    means of 3 vertices are spelled out, with the bits of np.linalg.norm
+    and mean.
+    rho is the largest ball over the triangle vertices, their incenters and
+    the classification grid points on the sub-cell's side.  That is a
+    maximum of a pointwise function, so each vertex a fan repeats (its
+    anchor, the arc points two triangles share) is sampled once.
+    """
+    (x0, y0), (x1, y1), (x2, y2) = np.ascontiguousarray(tris.transpose(2, 3, 1, 0))
+    areas = 0.5 * np.abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))  # triangle_areas
+    area = np.ascontiguousarray(areas.T).sum(axis=1)  # one sub-cell's sum, pairwise
+    cells.area[cids, sides] = area
+    centroids = np.stack([(x0 + x1 + x2) / 3, (y0 + y1 + y2) / 3], axis=-1)
+    cells.barycenter[cids, sides] = (centroids * areas[..., None]).sum(axis=0) / area[:, None]
+
+    la, lb, lc = (np.sqrt(dx * dx + dy * dy) for dx, dy in
+                  ((x2 - x1, y2 - y1), (x0 - x2, y0 - y2), (x1 - x0, y1 - y0)))
+    w = la + lb + lc
+    ix, iy = mesh.cell_index(cids)
+    s = mesh.cell_size
+    box = (ix * s, iy * s, (ix + 1) * s, (iy + 1) * s)
+    new0 = np.ones(x0.shape, dtype=bool)
+    new0[1:] = (x0[1:] != x0[:-1]) | (y0[1:] != y0[:-1])
+    new2 = (x2 != np.roll(x1, -1, axis=0)) | (y2 != np.roll(y1, -1, axis=0))
+    grid = gpts[cids].transpose(2, 1, 0)
+    samples = [
+        (x0, y0, new0), (x1, y1, True), (x2, y2, new2),
+        ((la * x0 + lb * x1 + lc * x2) / w, (la * y0 + lb * y1 + lc * y2) / w, True),
+        (grid[0], grid[1], (gneg[cids] == (sides == 1)[:, None]).T),
+    ]
+    cells.rho[cids, sides] = np.maximum.reduce(
+        [_largest_ball(levelset, x, y, box, use) for x, y, use in samples])
 
 
 _CCW_EDGES = [2, 1, 3, 0]  # the cell_faces columns of bottom, right, top, left
 
 
-def _chain_side(signs: np.ndarray) -> int:
-    signs = signs[signs != 0]
-    if not len(signs) or (signs != signs[0]).any():
-        raise GeometryError("disconnected cut: ambiguous sub-cell")
-    return 1 if signs[0] < 0 else 2
+def _walk_cut_cells(mesh: CartesianMesh, cids: np.ndarray, faces: FaceCuts,
+                    corner_sign: np.ndarray):
+    """Walk the boundary of each cut cell CCW; edge j runs from corner j to j+1.
+
+    Returns the crossings a and b (n, 2, 2) on the crossed edges j1 < j2,
+    the side of each chain of corners between them (2, n): chain 1, the
+    corners j1+1 .. j2 met from a to b, and chain 2, those met from b back
+    to a; and each cell's first walk error, or ''.
+    """
+    edges = mesh.cell_face_table[cids][:, _CCW_EDGES]
+    crossed = faces.crossed[edges]
+    j1, j2 = crossed.argmax(axis=1), 3 - crossed[:, ::-1].argmax(axis=1)
+    chain1 = (j1[:, None] < np.arange(4)) & (np.arange(4) <= j2[:, None])
+    sign = corner_sign[cids]
+    neg, pos = ([((sign * s > 0) & chain).any(axis=1) for chain in (chain1, ~chain1)]
+                for s in (-1, 1))
+    error = np.select(
+        [crossed.sum(axis=1) != 2, neg[0] == pos[0], neg[1] == pos[1], neg[0] == neg[1]],
+        ["disconnected cut: expected two boundary crossings",
+         "disconnected cut: ambiguous sub-cell", "disconnected cut: ambiguous sub-cell",
+         "disconnected cut: both chains on one side"], "")
+    rows = np.arange(len(cids))
+    ends = faces.point[np.stack([edges[rows, j1], edges[rows, j2]], axis=1)]
+    return ends, j1, j2, np.where(neg, 1, 2), error
 
 
-def _walk_cut_cell(mesh: CartesianMesh, cid: int, faces: FaceCuts,
-                   corner_sign: np.ndarray) -> _Walk:
-    edges = mesh.cell_face_table[cid, _CCW_EDGES]  # edge j runs from corner j to j+1
-    crossed = np.flatnonzero(faces.crossed[edges])
-    if len(crossed) != 2:
-        raise GeometryError("disconnected cut: expected two boundary crossings")
-    j1, j2 = crossed
-    chain1, chain2 = np.arange(j1 + 1, j2 + 1), np.arange(j2 + 1, j1 + 5) % 4
-    side1, side2 = _chain_side(corner_sign[chain1]), _chain_side(corner_sign[chain2])
-    if side1 == side2:
-        raise GeometryError("disconnected cut: both chains on one side")
-    corners = mesh.vertices.points[mesh.vertices.cells[cid]]
-    return _Walk(faces.point[edges[j1]], faces.point[edges[j2]],
-                 side1, corners[chain1], side2, corners[chain2])
+def _sub_cell_polygons(corners, ends, j1, j2, chain_side, lines):
+    """Both sub-cell polygons of every cell with an arc, stacked by length.
 
-
-def _classify_cut_cell(cells: CellCuts, mesh: CartesianMesh, levelset: LevelSet,
-                       cid: int, walk: _Walk, theta: float,
-                       grid_pts: np.ndarray, grid_neg: np.ndarray) -> None:
-    """Fill row cid of ``cells``, a cut cell's: its sub-cells' triangles,
-    areas, barycenters and rho, and the side that fails, if one does."""
-    cell_area = mesh.cell_size**2
-    a, b = walk.a, walk.b
-    interior = cells.polyline[cid][1:-1]
-    polys = {
-        # chain1 runs a -> b, close it with the polyline walked b -> a
-        walk.side1: np.vstack([a[None, :], walk.chain1, b[None, :], interior[::-1]]),
-        walk.side2: np.vstack([b[None, :], walk.chain2, a[None, :], interior]),
-    }
-
-    box = mesh.cell_box(cid)
-    chain_anchors = {
-        # chain corners rescue the sub-cells that are concave along the arc
-        walk.side1: tuple(walk.chain1),
-        walk.side2: tuple(walk.chain2),
-    }
-    for i in (1, 2):
-        tris = triangulate_polygon(polys[i], cell_area,
-                                   extra_anchors=chain_anchors[i])
-        if len(tris) == 0:
-            raise GeometryError("degenerate triangle: empty sub-cell")
-        areas = triangle_areas(tris)
-        area = float(areas.sum())
-        cells.tris[cid, i] = tris
-        cells.area[cid, i] = area
-        cells.barycenter[cid, i] = (tris.mean(axis=1) * areas[:, None]).sum(axis=0) / area
-        gpts = grid_pts[grid_neg] if i == 1 else grid_pts[~grid_neg]
-        cells.rho[cid, i] = _rho_estimate(levelset, box, tris, gpts)
-
-    tau = theta * 0.5 * mesh.cell_size  # theta times the cell inradius
-    bad = [i for i in (1, 2) if cells.rho[cid, i] < tau]
-    if len(bad) == 2:
-        raise GeometryError("both sides ill-cut: mesh too coarse for this theta")
-    if len(bad) == 1:
-        cells.kind[cid] = ILL_CUT
-        cells.side[cid] = bad[0]
+    Chain 1 runs a -> b and closes with the polyline walked b -> a, chain 2
+    runs b -> a and closes with it walked a -> b.  Yields each stack's
+    cells (indices into the arcs), sides, polygons and chain corners.
+    """
+    a, b, inner = ends[:, 0], ends[:, 1], lines[:, 1:-1]
+    chains = [(a, b, j1, j2 - j1, inner[:, ::-1], chain_side[0]),
+              (b, a, j2, 4 - (j2 - j1), inner, chain_side[1])]
+    for c in (1, 2, 3):
+        parts = []
+        for start, end, j, length, arc, side in chains:
+            k = np.flatnonzero(length == c)
+            corner = corners[k[:, None], (j[k, None] + 1 + np.arange(c)) % 4]
+            poly = np.concatenate([start[k, None], corner, end[k, None], arc[k]], axis=1)
+            parts.append((k, side[k], poly, corner))
+        yield tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def build_cut_mesh(mesh: CartesianMesh, levelset: LevelSet, theta: float = 0.3,
@@ -471,39 +487,52 @@ def build_cut_mesh(mesh: CartesianMesh, levelset: LevelSet, theta: float = 0.3,
     loops = np.flatnonzero(~cut & has_neg & has_pos)
     first_loop = loops[0] if len(loops) else n
 
-    # walk every cut cell first, keeping its error for the pass in cell order
-    walks: dict[int, _Walk | GeometryError] = {}
-    for cid in np.flatnonzero(cut).tolist():
-        try:
-            walks[cid] = _walk_cut_cell(mesh, cid, faces, corner_sign[cid])
-        except GeometryError as exc:
-            walks[cid] = exc
-    arcs = [cid for cid, w in walks.items() if isinstance(w, _Walk)]
-    ends = np.array([(walks[cid].a, walks[cid].b) for cid in arcs]).reshape(-1, 2, 2)
-    polylines = dict(zip(arcs, build_polyline(ends[:, 0], ends[:, 1], levelset, r)))
+    # walk every cut cell, then refine the polylines of the walked ones together
+    cids = np.flatnonzero(cut)
+    ends, j1, j2, chain_side, walk_error = _walk_cut_cells(mesh, cids, faces, corner_sign)
+    # each cell's first error, in stage order: walk, side 1, side 2, rho
+    errors = {cid: e for cid, e in zip(cids.tolist(), walk_error.tolist()) if e}
+    walked = walk_error == ""
+    arcs = cids[walked]
+    lines = build_polyline(ends[walked, 0], ends[walked, 1], levelset, r)
 
     # the uncut rows by array operations: a whole square on its side
     side = np.where(cut, 0, np.where(has_neg, 1, 2))
     cells = CellCuts(np.where(cut, WELL_CUT, UNCUT), side, np.full((n, 3), np.nan),
-                     np.full((n, 3, 2), np.nan), np.full((n, 3), np.nan), polylines, {})
+                     np.full((n, 3, 2), np.nan), np.full((n, 3), np.nan),
+                     dict(zip(arcs.tolist(), lines)), {})
     u = np.flatnonzero(~cut)
     ixy = np.stack(mesh.cell_index(u), axis=1)
     cells.area[u, side[u]] = s * s
     cells.barycenter[u, side[u]] = 0.5 * (ixy * s + (ixy + 1) * s)  # cell_center's bits
     cells.rho[u, side[u]] = 0.5 * s
 
-    # then the cut rows in cell order, up to the first loop
-    for cid in np.flatnonzero(cut[:first_loop]).tolist():
-        try:
-            walk = walks[cid]
-            if isinstance(walk, GeometryError):
-                raise walk
-            _classify_cut_cell(cells, mesh, levelset, cid, walk, theta, gpts[cid], gneg[cid])
-        except GeometryError as exc:
-            raise GeometryError(f"cell {cid}: {exc}") from exc
+    # the cut rows: triangulated in stacks of one polygon length, measured
+    # in stacks of one triangle count
+    tris, failed = {}, {}  # (cid, side) -> triangles, or error
+    polygons = _sub_cell_polygons(verts.points[verts.cells[arcs]], ends[walked], j1[walked],
+                                  j2[walked], chain_side[:, walked], lines)
+    for k, sides, polys, anchors in polygons:
+        groups, errs = triangulate_polygon(polys, anchors, s * s)
+        failed.update({(int(arcs[k[row]]), int(sides[row])): e for row, e in errs.items()})
+        for rows, t in groups:
+            _measure_sub_cells(cells, mesh, levelset, arcs[k[rows]], sides[rows], t, gpts, gneg)
+            tris.update(zip(zip(arcs[k[rows]].tolist(), sides[rows].tolist()), t))
+    cells.tris.update(sorted(tris.items()))
+
+    for (cid, _), e in sorted(failed.items(), key=lambda row: row[0][1]):
+        errors.setdefault(cid, e)
+    bad = cells.rho[arcs, 1:] < theta * 0.5 * s  # theta times the cell inradius
+    for cid in arcs[bad.all(axis=1)].tolist():
+        errors.setdefault(cid, "both sides ill-cut: mesh too coarse for this theta")
+    first = min(errors, default=n)
+    if first < first_loop:
+        raise GeometryError(f"cell {first}: {errors[first]}")
     if len(loops):
         raise GeometryError(
             f"cell {first_loop}: disconnected cut: interface loop inside an uncrossed cell")
+    cells.kind[arcs] = np.where(bad.any(axis=1), ILL_CUT, WELL_CUT)
+    cells.side[arcs] = np.where(bad[:, 0], 1, np.where(bad[:, 1], 2, 0))
 
     pairing = build_pairing(mesh, cells)
     return CutMesh(mesh, levelset, theta, r, cells, faces, pairing)

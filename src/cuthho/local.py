@@ -125,8 +125,10 @@ def inverse_cholesky(m: np.ndarray, name) -> np.ndarray:
         u = np.linalg.cholesky(ms).swapaxes(1, 2)  # ms = u^T u
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalError(f"singular matrix of size {m.shape[1]}") from exc
-    eye = np.broadcast_to(np.eye(m.shape[1]), u.shape)
-    return solve_triangular(u, eye, lower=False) / d[:, :, None]
+    # LU of an upper-triangular u pivots nothing and eliminates nothing, so
+    # inv ends in the triangular solve that solve_triangular makes, bit for
+    # bit, without scipy's Python loop over the stack
+    return np.linalg.inv(u) / d[:, :, None]
 
 
 def orthonormal_basis(e: np.ndarray, w: np.ndarray, names) -> np.ndarray:

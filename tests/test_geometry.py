@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from cuthho.cases import make_case
 from cuthho.levelset import Circle, Flower, LevelSet, Line, Square
 from cuthho.local import LocalOperators
 from cuthho.mesh import build_mesh
+from cuthho.study import solve_single
 from cuthho.quadrature import map_to_triangles, triangle_areas, triangle_rule
 
 CIRCLE = Circle((0.5, 0.5), 1.0 / 3.0)
@@ -496,6 +498,17 @@ def test_first_faulty_cell_in_cell_order_is_reported():
         build_cut_mesh(m, _Kinked(1e-9), theta=0.0, r=4)
 
 
+def test_each_cell_reports_its_first_error_in_stage_order():
+    # cell 22 leaves a sub-cell empty; cell 12 is too coarse at theta 0.64
+    # but not at 0.62.  The rho check comes after triangulation for each
+    # cell, yet cell 12 is named first at 0.64: the lowest faulty cell wins
+    m = build_mesh(0)
+    with pytest.raises(GeometryError, match=r"^cell 12: both sides ill-cut"):
+        build_cut_mesh(m, _Kinked(1e-9), theta=0.64, r=4)
+    with pytest.raises(GeometryError, match=r"^cell 22: degenerate triangle: empty sub-cell"):
+        build_cut_mesh(m, _Kinked(1e-9), theta=0.62, r=4)
+
+
 @pytest.mark.parametrize("eps,faulty", [(1e-3, 65), (1e-9, 22)])
 def test_interface_loop_in_an_uncrossed_cell_is_reported_in_cell_order(eps, faulty):
     # a circle of radius 0.01 around a sample point of one cell crosses none
@@ -517,6 +530,50 @@ def test_classification_deterministic():
     b = build_cut_mesh(m, CIRCLE, theta=0.3, r=4)
     assert list(zip(a.cells.kind, a.cells.side)) == list(zip(b.cells.kind, b.cells.side))
     assert a.pairing.partner == b.pairing.partner
+
+
+@pytest.mark.parametrize("levelset,level,r", [
+    (make_case("sinsin").levelset, 2, 8), (Flower(amplitude=0.02), 1, 8),
+    # a circle test_criterion_8_invariants draws: three sub-cells ear-clipped
+    (Circle((0.4513001846769976, 0.45056686145030567), 0.34059003869816806), 0, 4)])
+def test_cut_cell_rows_do_not_depend_on_their_stack(monkeypatch, levelset, level, r):
+    # every cut row equals, bit for bit, the row its polygons give as a
+    # stack of one, triangulated and then measured alone
+    m = build_mesh(level)
+    stacked = build_cut_mesh(m, levelset, theta=0.3, r=r)
+    triangulate, ear_clip, clipped = geometry.triangulate_polygon, geometry._ear_clip, []
+
+    def one_at_a_time(polys, anchors, cell_area):
+        groups, errors = [], {}
+        for row in range(len(polys)):
+            tris, failed = triangulate(polys[row:row + 1], anchors[row:row + 1], cell_area)
+            groups += [(np.array([row]), t) for _, t in tris]
+            errors.update({row: e for e in failed.values()})
+        return groups, errors
+
+    monkeypatch.setattr(geometry, "triangulate_polygon", one_at_a_time)
+    monkeypatch.setattr(geometry, "_ear_clip", lambda *a: clipped.append(1) or ear_clip(*a))
+    alone = build_cut_mesh(m, levelset, theta=0.3, r=r)
+    assert len(clipped) == (3 if r == 4 else 0)
+    a, b = stacked.cells, alone.cells
+    for name in ("kind", "side", "area", "barycenter", "rho"):
+        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=name not in ("kind", "side"))
+    assert list(a.tris) == list(b.tris)
+    assert all(np.array_equal(a.tris[key], b.tris[key]) for key in a.tris)
+    assert stacked.pairing.partner == alone.pairing.partner
+
+
+def test_benchmark_tracer_calls_every_geometry_function(monkeypatch):
+    # perfbench/layertrace.py wraps these functions by name; a renamed one
+    # would otherwise only break a traced benchmark run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import layertrace
+
+    with layertrace.Tracer() as tracer:
+        solve_single(make_case("jump-mixed"), 1, 0, r=4, check_case=False)
+    missing = [name for name in layertrace.GEOMETRY_FUNCTIONS
+               if not tracer.calls(f"geometry.{name}")]
+    assert missing == []
 
 
 # -- pairing -----------------------------------------------------------

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, solve_triangular
 
 from cuthho import local
 from cuthho.assembly import DofLayout, PlainCells, assemble, interpolate_polynomial
@@ -142,6 +142,30 @@ def test_orthonormal_basis_guards_degenerate_region():
     transforms = orthonormal_basis(e[:1], np.ones((1, 7)), ["sub-cell (3, 2)"])
     orthonormal = e[0] @ transforms[0]
     assert np.max(np.abs(orthonormal.T @ orthonormal / 7 - np.eye(3))) <= 1e-14
+
+
+def test_inverse_cholesky_matches_the_triangular_solve_bit_for_bit(monkeypatch):
+    # LU of an upper-triangular factor pivots and eliminates nothing, so
+    # np.linalg.inv ends in solve_triangular's triangular solve; checked on
+    # every stack a sinsin k=1 level-2 solve inverts
+    from cuthho import assembly
+
+    stacks, original = [], local.inverse_cholesky
+
+    def recording(m, name):
+        stacks.append(m)
+        return original(m, name)
+
+    for module in (local, assembly):
+        monkeypatch.setattr(module, "inverse_cholesky", recording)
+    solve_single(make_case("sinsin"), 1, 2, check_case=False)
+    assert sum(len(m) for m in stacks) > 2000
+    for m in stacks:
+        d, ms = local.jacobi_scaled(m, str)
+        u = np.linalg.cholesky(ms).swapaxes(1, 2)
+        eye = np.broadcast_to(np.eye(m.shape[1]), u.shape)
+        expected = solve_triangular(u, eye, lower=False) / d[:, :, None]
+        assert np.array_equal(original(m, str), expected)
 
 
 def test_volume_tables_are_kept_per_sub_cell():
