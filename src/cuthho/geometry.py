@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import GeometryError, PairingError
 from .levelset import LevelSet
-from .mesh import CartesianMesh
+from .mesh import OUTWARD, CartesianMesh
 from .quadrature import triangle_areas
 
 UNCUT = "uncut"
@@ -282,7 +282,7 @@ def _snapped_signs(values: np.ndarray, dist_est: np.ndarray, tol: float) -> np.n
 
 def _face_label(mesh: CartesianMesh, fid: int) -> str:
     """'face <fid> (cells a, b)', naming the cells adjacent to the face."""
-    cells = ", ".join(str(c) for c in mesh.face_cells(fid) if c >= 0)
+    cells = ", ".join(str(c) for c in mesh.face_cell_table[fid].tolist() if c >= 0)
     return f"face {fid} (cell{'s' if ',' in cells else ''} {cells})"
 
 
@@ -411,7 +411,7 @@ def _measure_sub_cells(cells: CellCuts, mesh: CartesianMesh, levelset: LevelSet,
         [_largest_ball(levelset, x, y, box, use) for x, y, use in samples])
 
 
-_CCW_EDGES = [2, 1, 3, 0]  # the cell_faces columns of bottom, right, top, left
+_CCW_EDGES = [2, 1, 3, 0]  # the cell_face_table columns of bottom, right, top, left
 
 
 def _walk_cut_cells(mesh: CartesianMesh, cids: np.ndarray, faces: FaceCuts,
@@ -551,9 +551,6 @@ class PairingMap:
         """Ill-cut cells whose side-i polynomials extend from cell cid."""
         return [S for side, S in self.inverse.get(cid, ()) if side == i]
 
-    def __len__(self) -> int:
-        return len(self.partner)
-
 
 def _admissible(cells: CellCuts, T: int, i: int) -> bool:
     if cells.kind[T] == UNCUT:
@@ -659,8 +656,9 @@ class CutMesh:
 
     def subfaces(self, cid: int, i: int):
         """Sub-faces of cell cid on side i as (fid, endpoints, outward normal)."""
-        return [(fid, self.faces.segments[fid, i], self.mesh.outward_normal(cid, fid))
-                for fid in self.mesh.cell_faces(cid) if self.faces.sides[fid, i]]
+        return [(fid, self.faces.segments[fid, i], OUTWARD[j])
+                for j, fid in enumerate(self.mesh.cell_face_table[cid].tolist())
+                if self.faces.sides[fid, i]]
 
     def partner_of(self, cid: int) -> int | None:
         return self.pairing.partner.get(cid)

@@ -269,6 +269,13 @@ class LocalOperators:
         """Quadrature of sub-cell (cid, i) with its cell basis values and
         gradients; the gradients have the bits of ``OrthonormalBasis.grad``.
 
+        An uncut sub-cell has the tensor Gauss rule of its square.  A cut
+        sub-cell has its fan rule, the collapsed product rule on each of
+        its triangles (~26k nodes at k=3, r=10), compressed once by
+        ``compress_rule`` to at most dim P_{2k+3} positive nodes with the
+        same moments to degree 2k+3; the compressed rule is kept, the fan
+        rule is not.  Operator integrands have degree at most 2k+2.
+
         The first call builds the records of every sub-cell that is not
         plain (``CutMesh.plain``) and of the first plain one as one stack;
         the first call for any other plain sub-cell builds all of those as a
@@ -325,25 +332,13 @@ class LocalOperators:
         is cut; none on side 2."""
         return self._record(cid, i).arcs
 
-    def volume_quadrature(self, cid: int, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Points and weights of the volume quadrature of sub-cell (cid, i).
-
-        An uncut sub-cell has the tensor Gauss rule of its square.  A cut
-        sub-cell has its fan rule, the collapsed product rule on each of
-        its triangles (~26k nodes at k=3, r=10), compressed once by
-        ``compress_rule`` to at most dim P_{2k+3} positive nodes with the
-        same moments to degree 2k+3; the compressed rule is kept, the fan
-        rule is not.  Operator integrands have degree at most 2k+2.
-        """
-        t = self.volume_tables(cid, i)
-        return t.pts, t.w
-
     def _build(self, keys, transform=None) -> None:
         """Build and keep the records of the sub-cells ``keys`` as one stack.
 
-        1. Each sub-cell's volume rule (see ``volume_quadrature``).  A
-           failing side's merged region has its own rule followed by its
-           partner's, which is in the same stack.
+        1. Each sub-cell's volume rule: the box rule of an uncut cell, or
+           the fan rule compressed to at most dim P_{2k+3} nodes (see
+           ``volume_tables``).  A failing side's merged region has its own
+           rule followed by its partner's, which is in the same stack.
         2. One ``monomial_values`` call on the merged rules, padded to the
            longest: ``orthonormal_basis`` makes the transforms of it, unless
            all take ``transform``.  Its rows on the own rules times the

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import assembly
 from .cases import Case, make_case, verify_case
-from .errors import ConfigError, GeometryError, NumericalError
+from .errors import ConfigError, CutHHOError, GeometryError, NumericalError
 from .geometry import build_cut_mesh
 from .levelset import Circle, Square
 from .mesh import build_mesh
@@ -143,8 +143,8 @@ def convergence_study(case_name: str, ks, levels, r: int | None = None,
                 rows[k].append(rec)
         for k, exc in failed.items():
             # partial reports: keep the rows solved so far for this k
-            print(f"warning: {case.name} k={k} level={level} failed: {exc}",
-                  file=sys.stderr)
+            print(f"warning: {case.name} k={k} level={level} r={r_eff} theta={theta} "
+                  f"failed: {exc}", file=sys.stderr)
             active.remove(k)
     return [rec for k in ks for rec in rows[k]]
 
@@ -164,6 +164,9 @@ def conditioning_study(interface: str, sweep, ks, level: int = 0,
 
     The cut mesh does not depend on k, so it is built once per sweep
     point; its build time is charged to the first k's ``wall_time_s``.
+    A ``CutHHOError`` at a point is raised again as its own type, its
+    message led by the point's name, level, r and theta, and by k if one
+    degree's assembly or conditioning failed.
     """
     if interface not in ("circle", "square"):
         raise ConfigError("interface must be 'circle' or 'square'")
@@ -177,15 +180,19 @@ def conditioning_study(interface: str, sweep, ks, level: int = 0,
     records = []
     mesh = build_mesh(level)
     for name, ls in points:
-        t0 = time.perf_counter()
-        cm = build_cut_mesh(mesh, ls, theta=theta, r=r)
-        for k in sorted(set(ks)):
-            system = assembly.assemble(cm, k, kappa=(1.0, kappa2), eta=eta)
-            cond = assembly.condition_number(system)
-            records.append(RunRecord(name, k, level, r, theta, eta, kappa2,
-                                     int(system.free.sum()), None, None, cond,
-                                     time.perf_counter() - t0))
-            t0 = time.perf_counter()
+        t0, k = time.perf_counter(), None
+        try:
+            cm = build_cut_mesh(mesh, ls, theta=theta, r=r)
+            for k in sorted(set(ks)):
+                system = assembly.assemble(cm, k, kappa=(1.0, kappa2), eta=eta)
+                cond = assembly.condition_number(system)
+                records.append(RunRecord(name, k, level, r, theta, eta, kappa2,
+                                         int(system.free.sum()), None, None, cond,
+                                         time.perf_counter() - t0))
+                t0 = time.perf_counter()
+        except CutHHOError as exc:
+            at = f"{name} level={level} r={r} theta={theta}" + ("" if k is None else f" k={k}")
+            raise type(exc)(f"{at}: {exc}") from exc
     return records
 
 

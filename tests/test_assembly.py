@@ -25,7 +25,7 @@ from cuthho.errors import ConfigError, NumericalError
 from cuthho.geometry import build_cut_mesh
 from cuthho.levelset import Circle, Line, Square
 from cuthho.local import LocalOperators
-from cuthho.mesh import build_mesh
+from cuthho.mesh import OUTWARD, build_mesh
 from cuthho.study import conditioning_study
 
 CIRCLE = Circle((0.5, 0.5), 1.0 / 3.0)
@@ -159,7 +159,7 @@ def test_dirichlet_mask_on_boundary_faces():
     cm = system.cm
     for fid, i in zip(*np.nonzero(cm.faces.sides)):
         idx = layout.indices(("f", fid, i))
-        if cm.mesh.is_boundary_face(fid):
+        if cm.mesh.boundary_faces[fid]:
             assert np.all(layout.dirichlet[idx])
         else:
             assert not np.any(layout.dirichlet[idx])
@@ -180,7 +180,7 @@ def test_dirichlet_mask_on_boundary_faces():
                 off += layout.nf
     dirichlet = np.zeros(off, dtype=bool)
     for fid in range(cm.mesh.n_faces):
-        if cm.mesh.is_boundary_face(fid):
+        if cm.mesh.boundary_faces[fid]:
             for o in face_offset[fid][face_offset[fid] >= 0]:
                 dirichlet[o:o + layout.nf] = True
     assert np.array_equal(layout.cell_offset, cell_offset)
@@ -204,7 +204,7 @@ def test_face_projections_match_the_per_face_loop(name, level, k):
         idx = layout.indices(("f", fid, i))
         want = chi.T @ (w * poly_eval(poly, pts)) / cm.mesh.h
         assert np.abs(x[idx] - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
-        if cm.mesh.is_boundary_face(fid):
+        if cm.mesh.boundary_faces[fid]:
             want = chi.T @ (w * case.u(i, pts)) / cm.mesh.h
             got = system.dirichlet_values[idx]
             assert np.abs(got - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
@@ -357,9 +357,9 @@ def fitted_hho_dense(mesh, k, layout):
 
         idx = [layout.indices(("c", cid, 2))]
         stab = np.zeros((width, width))
-        for jf, fid in enumerate(mesh.cell_faces(cid)):
-            ends = mesh.face_endpoints(fid)
-            nrm = mesh.outward_normal(cid, fid)
+        for jf, fid in enumerate(mesh.cell_face_table[cid]):
+            ends = mesh.vertices.points[mesh.vertices.faces[fid]]
+            nrm = OUTWARD[jf]
             flen = np.linalg.norm(ends[1] - ends[0])
             fpts = (ends[0] + ends[1]) / 2 + 0.5 * np.outer(gl_x, ends[1] - ends[0])
             fw = 0.5 * flen * gl_w
@@ -396,7 +396,7 @@ def to_monomials(mesh, ops, layout, k):
         idx = layout.indices(("c", cid, 2))
         m[np.ix_(idx, idx)] = ops.cell_basis(cid, 2).transform
     for fid in range(mesh.n_faces):
-        ends = mesh.face_endpoints(fid)
+        ends = mesh.vertices.points[mesh.vertices.faces[fid]]
         pts, _, chi = ops.face_rule(ops.cm.faces.segments[fid, 2])
         e = ends[1] - ends[0]
         t = 2 * (pts - (ends[0] + ends[1]) / 2) @ e / (e @ e)
@@ -602,7 +602,7 @@ def test_scatter_writes_one_compact_triplet_set(name, level, r, monkeypatch):
         tracemalloc.stop()
     monkeypatch.undo()
     oracle, n_triplets, per_term = sub_cell_ordered_coo(system)
-    assert system.layout.dirichlet.any() and len(cm.pairing)
+    assert system.layout.dirichlet.any() and len(cm.pairing.partner)
     for a in (system.A, oracle):
         a.sort_indices()
     for part in ("data", "indices", "indptr"):
@@ -624,7 +624,7 @@ def test_every_sub_cell_operator_is_on_its_reconstruction_stencil():
     cm = build_cut_mesh(build_mesh(0), case.levelset, theta=0.3, r=4)
     ops = LocalOperators(cm, 1, case)
     layout = DofLayout.build(cm, 1)
-    assert cm.ko_sides() and len(cm.pairing) and cm.cut_cells() and layout.dirichlet.any()
+    assert cm.ko_sides() and len(cm.pairing.partner) and cm.cut_cells() and layout.dirichlet.any()
     for cid, i in cm.sides():
         keys = ops.reconstruction_stencil(cid, i).keys
         if cm.is_ko(cid, i):

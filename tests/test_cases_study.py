@@ -16,7 +16,7 @@ from cuthho.cases import (
     verify_case,
 )
 from cuthho.cli import main
-from cuthho.errors import ConfigError, GeometryError
+from cuthho.errors import ConfigError, GeometryError, NumericalError
 from cuthho.geometry import ILL_CUT, WELL_CUT, build_cut_mesh
 from cuthho.levelset import Circle, Square, interface_clear_of_boundary
 from cuthho.mesh import build_mesh
@@ -26,6 +26,7 @@ from cuthho.study import (
     convergence_study,
     records_to_csv,
     solve_single,
+    theta_study,
 )
 from cuthho.viz import dump_cuts
 
@@ -386,6 +387,34 @@ def test_cli_study_conditioning(tmp_path):
     ])
     assert code == 0
     assert len(out.read_text().splitlines()) == 3
+
+
+def test_cli_study_conditioning_failure_names_the_sweep_point(tmp_path, capsys):
+    # at level 1 the square front with p = 8 leaves cell 315 an empty sub-cell
+    out = tmp_path / "cond.csv"
+    code = main(["study", "conditioning", "--interface", "square", "--sweep", "7..9",
+                 "--k", "1", "--level", "1", "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == ("error: square[p=8] level=1 r=8 theta=0.3: "
+                                       "cell 315: degenerate triangle: empty sub-cell\n")
+    assert not out.exists()
+
+
+def test_conditioning_failure_in_one_degree_names_k(monkeypatch):
+    def failing(system):
+        raise NumericalError("Lanczos did not converge")
+
+    monkeypatch.setattr(assembly, "condition_number", failing)
+    with pytest.raises(NumericalError, match=r"^circle\[i=0\] level=0 r=4 theta=0.3 k=1: "
+                       r"Lanczos did not converge$"):
+        conditioning_study("circle", [0], [1, 2], level=0, r=4)
+
+
+def test_convergence_failure_warning_names_theta_and_r(capsys):
+    # theta close to 1 makes central cuts fail on both sides
+    assert theta_study("sinsin", [0.95], 0, [0], r=3) == []
+    assert capsys.readouterr().err.startswith(
+        "warning: sinsin k=0 level=0 r=3 theta=0.95 failed: cell ")
 
 
 def test_cli_study_theta(tmp_path):

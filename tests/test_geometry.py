@@ -269,7 +269,8 @@ def test_cut_sub_cell_rules_compress_the_fan_rule(levelset, level, k, r):
     for cid in cm.cut_cells():
         for i in (1, 2):
             fine_pts, fine_w = map_to_triangles(cm.cells.tris[cid, i], *fan)
-            pts, w = ops.volume_quadrature(cid, i)
+            t = ops.volume_tables(cid, i)
+            pts, w = t.pts, t.w
             as_complex = [p[:, 0] + 1j * p[:, 1] for p in (pts, fine_pts)]
             assert np.all(np.isin(*as_complex)), (cid, i)
             assert np.all(w > 0.0), (cid, i)
@@ -291,7 +292,7 @@ def test_cut_sub_cell_rules_compress_the_fan_rule(levelset, level, k, r):
 def test_subtriangulation_straight_split_areas():
     m = build_mesh(0)
     cm = build_cut_mesh(m, Line((0.37, 0.0)), theta=0.0, r=4)
-    cid = m.cell_id(3, 3)
+    cid = 3 * m.n + 3
     area = cm.cells.area[cid]
     assert cm.is_cut(cid)
     assert area[1] == pytest.approx(0.007, abs=1e-15)
@@ -343,8 +344,8 @@ def test_square_interface_corner_cell():
     deficits = []
     for r in (4, 6, 8):
         cm = build_cut_mesh(m, Square(delta=0.005), theta=0.3, r=r)
-        corner = cm.cells.area[m.cell_id(7, 7)]
-        assert cm.is_cut(m.cell_id(7, 7))
+        corner = cm.cells.area[7 * m.n + 7]
+        assert cm.is_cut(7 * m.n + 7)
         assert abs(corner[1] + corner[2] - s) <= 1e-12 * s
         deficits.append(abs(corner[1] - 0.055**2))
     assert deficits[0] > deficits[1] > deficits[2]
@@ -356,9 +357,9 @@ def test_square_interface_corner_cell():
 def test_uncut_inside_circle():
     m = build_mesh(0)
     cm = build_cut_mesh(m, CIRCLE, theta=0.3, r=4)
-    c = m.cell_id(4, 4)  # [0.4,0.5]^2 inside the circle
+    c = 4 * m.n + 4  # [0.4,0.5]^2 inside the circle
     assert cm.cells.kind[c] == UNCUT and cm.cells.side[c] == 1
-    c = m.cell_id(0, 0)
+    c = 0  # [0,0.1]^2
     assert cm.cells.kind[c] == UNCUT and cm.cells.side[c] == 2
 
 
@@ -367,7 +368,7 @@ def test_theta_zero_all_well_cut():
     cm = build_cut_mesh(m, CIRCLE, theta=0.0, r=4)
     kinds = set(cm.cells.kind[cm.cut_cells()].tolist())
     assert kinds == {WELL_CUT}
-    assert len(cm.pairing) == 0
+    assert len(cm.pairing.partner) == 0
 
 
 def test_sliver_is_ill_cut_on_the_sliver_side():
@@ -376,7 +377,7 @@ def test_sliver_is_ill_cut_on_the_sliver_side():
     cm = build_cut_mesh(m, Line((0.7 + delta, 0.0)), theta=0.3, r=2)
     tau = 0.3 * 0.5 * m.cell_size
     for iy in range(m.n):
-        c = m.cell_id(7, iy)
+        c = iy * m.n + 7
         assert cm.cells.kind[c] == ILL_CUT
         assert cm.cells.side[c] == 1  # the sliver lies on side 1
         assert cm.cells.rho[c, 1] < tau <= cm.cells.rho[c, 2]
@@ -394,6 +395,27 @@ def test_cut_cell_geometry_error_names_the_cell():
     with pytest.raises(GeometryError,
                        match=r"^cell 315: degenerate triangle: empty sub-cell$"):
         build_cut_mesh(build_mesh(1), Square(delta=0.5e-8))
+
+
+@pytest.mark.parametrize("name,level", [
+    ("sinsin", 0), ("sinsin", 1), ("sinsin", 2), ("square", 1), ("flower", 1)])
+def test_subfaces_carry_outward_unit_normals(name, level):
+    # every sub-face of every sub-cell, boundary cells included: its face is
+    # one of the cell's, and its normal is a unit vector orthogonal to it
+    # that points out of the cell, s/2 from the centre along it
+    levelset = {"sinsin": make_case("sinsin").levelset, "square": Square(delta=0.5e-5),
+                "flower": Flower(amplitude=0.02)}[name]
+    cm = build_cut_mesh(build_mesh(level), levelset, theta=0.3, r=4)
+    m = cm.mesh
+    on_boundary = 0
+    for cid, i in cm.sides():
+        center = m.cell_center(cid)
+        for fid, seg, nrm in cm.subfaces(cid, i):
+            assert fid in m.cell_face_table[cid], (cid, i, fid)
+            assert np.hypot(*nrm) == 1.0 and (seg[1] - seg[0]) @ nrm == 0.0, (cid, i, fid)
+            assert abs((seg.mean(axis=0) - center) @ nrm - m.cell_size / 2) <= 1e-15, (cid, fid)
+            on_boundary += bool(m.boundary_faces[fid])
+    assert on_boundary and cm.cut_cells()
 
 
 def test_face_geometry_errors_name_the_face():
@@ -461,8 +483,8 @@ class _Kinked(LevelSet):
 
     def __init__(self, eps, loop=None):
         m = build_mesh(0)
-        self.v = m.cell_vertices(m.cell_id(3, 2))[0]
-        self.w = m.cell_vertices(m.cell_id(6, 7))[0]
+        self.v = np.array(m.cell_box(2 * m.n + 3)[:2])  # lower-left corners
+        self.w = np.array(m.cell_box(7 * m.n + 6)[:2])
         self.eps, self.loop = eps, loop
 
     def _branches(self, pts):
@@ -614,7 +636,7 @@ def test_pairing_step4_reciprocal():
     # corner cell A (ill on side 1) has only its ill neighbor B as candidate;
     # B (ill on side 2) must then receive A reciprocally
     m = build_mesh(0)
-    a, b = m.cell_id(0, 0), m.cell_id(1, 0)
+    a, b = 0, 1  # cells (0, 0) and (1, 0)
     spec = {
         a: (ILL_CUT, 1, {1: 0.001, 2: 0.009}),
         b: (ILL_CUT, 2, {1: 0.009, 2: 0.001}),
@@ -627,23 +649,23 @@ def test_pairing_step4_reciprocal():
 
 def test_pairing_preference_order_and_tiebreak():
     m = build_mesh(0)
-    s = m.cell_id(5, 5)
+    s = 5 * m.n + 5
     spec = {s: (ILL_CUT, 1, {1: 0.001, 2: 0.009})}
     # all neighbors uncut side 2 except: one well-cut, one uncut side 1
-    well = m.cell_id(4, 5)
-    unc1 = m.cell_id(6, 5)
+    well = 5 * m.n + 4
+    unc1 = 5 * m.n + 6
     spec[well] = (WELL_CUT, None, {1: 0.009, 2: 0.001})
     spec[unc1] = (UNCUT, 1, {1: 0.01})
     pairing = build_pairing(m, _fake_cells(m, spec))
     assert pairing.partner[s] == unc1  # uncut beats well-cut
 
     # two uncut side-1 candidates: same area, smaller id wins
-    spec[m.cell_id(4, 4)] = (UNCUT, 1, {1: 0.01})
+    spec[4 * m.n + 4] = (UNCUT, 1, {1: 0.01})
     pairing = build_pairing(m, _fake_cells(m, spec))
-    assert pairing.partner[s] == min(unc1, m.cell_id(4, 4))
+    assert pairing.partner[s] == min(unc1, 4 * m.n + 4)
 
     # larger borrowed sub-cell wins over smaller id
-    spec[m.cell_id(4, 4)] = (WELL_CUT, None, {1: 0.004, 2: 0.006})
+    spec[4 * m.n + 4] = (WELL_CUT, None, {1: 0.004, 2: 0.006})
     spec[unc1] = (WELL_CUT, None, {1: 0.008, 2: 0.002})
     del spec[well]
     pairing = build_pairing(m, _fake_cells(m, spec))
@@ -652,7 +674,7 @@ def test_pairing_preference_order_and_tiebreak():
 
 def test_pairing_failure():
     m = build_mesh(0)
-    spec = {m.cell_id(0, 0): (ILL_CUT, 1, {1: 0.001, 2: 0.009})}
+    spec = {0: (ILL_CUT, 1, {1: 0.001, 2: 0.009})}
     # neighbors are all uncut side 2 (the filler), so no side-1 donor exists
     with pytest.raises(PairingError, match="pairing failed"):
         build_pairing(m, _fake_cells(m, spec))

@@ -28,7 +28,7 @@ from cuthho.errors import NumericalError
 from cuthho.geometry import UNCUT, WELL_CUT, build_cut_mesh
 from cuthho.levelset import Circle, Flower, Line, Square
 from cuthho.local import LocalOperators, orthonormal_basis
-from cuthho.mesh import build_mesh
+from cuthho.mesh import OUTWARD, build_mesh
 from cuthho.study import solve_single
 
 CIRCLE = Circle((0.5, 0.5), 1.0 / 3.0)
@@ -74,7 +74,7 @@ def assert_gradient_reproduced(cm, k, polys, tol=1e-11):
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_exact_gradient_reproduction_circle(k):
     cm = build_cut_mesh(build_mesh(0), CIRCLE, theta=0.3, r=5)
-    assert len(cm.pairing) > 0
+    assert len(cm.pairing.partner) > 0
     rng = np.random.default_rng(SEED)
     assert_gradient_reproduced(cm, k, [random_poly(k + 1, rng) for _ in range(5)])
 
@@ -114,10 +114,11 @@ def test_reconstruction_basis_orthonormal_on_cut_and_extended_sub_cells():
     assert cm.ko_sides()
     ng = ops.ng
     for cid, i in cm.sides():
-        pts, w = ops.volume_quadrature(cid, i)
+        t = ops.volume_tables(cid, i)
+        pts, w = t.pts, t.w
         if cm.is_ko(cid, i):
-            tp, tw = ops.volume_quadrature(cm.partner_of(cid), i)
-            pts, w = np.vstack([pts, tp]), np.concatenate([w, tw])
+            tp = ops.volume_tables(cm.partner_of(cid), i)
+            pts, w = np.vstack([pts, tp.pts]), np.concatenate([w, tp.w])
         basis = ops.cell_basis(cid, i)
         e = basis.eval(pts)
         gram = e.T @ ((w / w.sum())[:, None] * e)
@@ -189,7 +190,7 @@ def test_benchmark_tracer_wraps_every_operator(monkeypatch):
     case = make_case("jump-mixed")  # pairings, and g_D and g_N on the interface
     with layertrace.Tracer() as tracer:
         _, system, _ = solve_single(case, 1, 0, r=4, check_case=False)
-    assert len(system.cm.pairing) > 0
+    assert len(system.cm.pairing.partner) > 0
     names = layertrace.STIFFNESS + layertrace.STABILIZATION + layertrace.LOAD
     missing = [name for name in (*names, "volume_tables") if not tracer.calls(f"local.{name}")]
     assert missing == []
@@ -202,7 +203,7 @@ def test_assemble_builds_each_sub_cell_tables_once(monkeypatch):
     # k=3 at r=9: each cut sub-cell's fan rule of about 15k points is
     # compressed once, to at most 55 nodes, and the tables use those
     cm = build_cut_mesh(build_mesh(0), case.levelset, theta=0.3, r=9)
-    assert len(cm.pairing) > 0
+    assert len(cm.pairing.partner) > 0
     built: dict[tuple[int, int], list] = {}
     original = LocalOperators.volume_tables
 
@@ -280,7 +281,7 @@ def test_face_tables_match_the_per_face_loops(name, level, k):
         if not cm.is_ko(cid, i):
             got_b, _ = ops.gradient_rhs(cid, i)
             assert np.abs(got_b - want_b).max() <= 1e-13 * np.abs(want_b).max(), (cid, i)
-        on_boundary += any(cm.mesh.is_boundary_face(f) for f, _, _ in cm.subfaces(cid, i))
+        on_boundary += any(cm.mesh.boundary_faces[f] for f, _, _ in cm.subfaces(cid, i))
     assert on_boundary
 
 
@@ -337,7 +338,7 @@ def test_assemble_compresses_rules_only_inside_volume_tables(monkeypatch):
     # must run inside it
     case = make_case("jump-mixed")
     cm = build_cut_mesh(build_mesh(0), case.levelset, theta=0.3, r=4)
-    assert len(cm.pairing) > 0
+    assert len(cm.pairing.partner) > 0
     depth, calls, arcs = [0], [], []
     compress, volume_tables = local.compress_rule, LocalOperators.volume_tables
     interface_quadrature = LocalOperators.interface_quadrature
@@ -404,8 +405,6 @@ def test_every_accessor_returns_the_kept_record():
         for name in ("cell_basis", "volume_tables", "face_tables", "reconstruction_stencil"):
             first = getattr(ops, name)(*key)
             assert getattr(ops, name)(*key) is first, (name, key)
-        t = ops.volume_tables(*key)
-        assert all(a is b for a, b in zip(ops.volume_quadrature(*key), (t.pts, t.w))), key
     # plain sub-cells share the first plain one's transform
     assert np.array_equal(ops.cell_basis(*plain[1]).transform,
                           ops.cell_basis(*plain[0]).transform)
@@ -456,17 +455,15 @@ def test_error_pass_quadrature_is_the_tables_bit_for_bit():
     cm = build_cut_mesh(build_mesh(0), CIRCLE, theta=0.3, r=4)
     ops = LocalOperators(cm, 3)
     for cid, i in cm.sides():
-        pts, w = ops.volume_quadrature(cid, i)
         t = ops.volume_tables(cid, i)
-        assert np.array_equal(pts, t.pts) and np.array_equal(w, t.w)
-        assert np.array_equal(ops.cell_basis(cid, i).grad(pts), t.dek1)
+        assert np.array_equal(ops.cell_basis(cid, i).grad(t.pts), t.dek1)
 
 
 def is_plain_oracle(cm, cid, i):
     """The three-clause rule for one sub-cell: an uncut cell without donors
     on side i, whose four faces all lie on side i."""
     return (not cm.is_cut(cid) and not cm.pairing.donors(cid, i)
-            and all(cm.faces.sides[f, i] for f in cm.mesh.cell_faces(cid)))
+            and all(cm.faces.sides[f, i] for f in cm.mesh.cell_face_table[cid]))
 
 
 @pytest.mark.parametrize("k", range(4))
@@ -474,7 +471,7 @@ def is_plain_oracle(cm, cid, i):
 def test_plain_sub_cells_match_the_reference_element(name, level, k):
     # the reference path rests on this: every plain sub-cell's blocks are the
     # first plain sub-cell's, and its stencil is the cell, then its four faces
-    # in mesh.cell_faces order; the cut mesh's plain mask is the three-clause
+    # in mesh.cell_face_table order; the cut mesh's plain mask is the three-clause
     # rule on every sub-cell
     if name == "square":
         levelset, kappa = Square(delta=0.5e-2), (1.0, 1.0)
@@ -484,7 +481,7 @@ def test_plain_sub_cells_match_the_reference_element(name, level, k):
     cm = build_cut_mesh(build_mesh(level), levelset, theta=0.3, r=4)
     assert [cm.is_plain(c, i) for c, i in cm.sides()] == [
         is_plain_oracle(cm, c, i) for c, i in cm.sides()]
-    assert len(cm.pairing) > 0 and 0 < cm.plain.sum() < cm.mesh.n_cells
+    assert len(cm.pairing.partner) > 0 and 0 < cm.plain.sum() < cm.mesh.n_cells
     ops = LocalOperators(cm, k)
     plain = PlainCells.build(ops, DofLayout.build(cm, k), kappa)
     assert [(c, i) for c, i in zip(plain.cids, plain.sides)] == [
@@ -496,7 +493,7 @@ def test_plain_sub_cells_match_the_reference_element(name, level, k):
     for cid, i in zip(plain.cids, plain.sides):
         a, _, _, st = ops.stiffness_ok(cid, i, 1.0)
         s, st_s = ops.stab_circ(cid, i, 1.0)
-        faces = cm.mesh.cell_faces(cid)
+        faces = cm.mesh.cell_face_table[cid]
         assert st.keys == st_s.keys == [("c", cid, i)] + [("f", f, i) for f in faces]
         ek1 = ops.volume_tables(cid, i).ek1
         for got, ref in ((a, a_ref), (s, s_ref), (ek1, plain.ek1)):
@@ -607,7 +604,7 @@ def test_lifting_constant_hand_computed():
     m = build_mesh(0)
     cm = build_cut_mesh(m, Line((0.37, 0.0)), theta=0.0, r=3)
     ops = LocalOperators(cm, 0, with_data(g_D=lambda pts: np.ones(len(pts))))
-    cid = m.cell_id(3, 4)
+    cid = 4 * m.n + 3
     l = ops.lifting_coefficients(cid)
     assert l[0] == pytest.approx(0.1 / 0.007, rel=1e-12)
     assert abs(l[1]) <= 1e-12
@@ -700,7 +697,7 @@ def test_stab_gamma_values():
     k = 1
     ops = LocalOperators(cm, k)
     layout = DofLayout.build(cm, k)
-    cid = m.cell_id(3, 5)
+    cid = 5 * m.n + 3
     s, st = ops.stab_gamma(cid, 1.0)
 
     rng = np.random.default_rng(SEED)
@@ -828,9 +825,9 @@ def fitted_reconstruction(mesh, cid, k):
     for comp in (0, 1):
         rows = slice(comp * ng, (comp + 1) * ng)
         b_mat[rows, :nc] += ev(qp, exps).T @ (qw[:, None] * gr(qp, exps1, comp))
-    for jf, fid in enumerate(mesh.cell_faces(cid)):
-        ends = mesh.face_endpoints(fid)
-        nrm = mesh.outward_normal(cid, fid)
+    for jf, fid in enumerate(mesh.cell_face_table[cid]):
+        ends = mesh.vertices.points[mesh.vertices.faces[fid]]
+        nrm = OUTWARD[jf]
         fpts = (ends[0] + ends[1]) / 2 + 0.5 * np.outer(gl_x, ends[1] - ends[0])
         flen = np.linalg.norm(ends[1] - ends[0])
         fw = 0.5 * flen * gl_w
@@ -852,7 +849,7 @@ def face_to_monomials(mesh, ops, fid, k):
     """F with chi = mono F on face fid: maps coefficients in the face basis
     of side 2 to those in the oracle's monomials of the arc-length
     parameter t in [-1, 1], fitted at the k+2 points of the face rule."""
-    ends = mesh.face_endpoints(fid)
+    ends = mesh.vertices.points[mesh.vertices.faces[fid]]
     pts, _, chi = ops.face_rule(ops.cm.faces.segments[fid, 2])
     e = ends[1] - ends[0]
     t = 2 * (pts - (ends[0] + ends[1]) / 2) @ e / (e @ e)
@@ -864,7 +861,7 @@ def test_reconstruction_matches_fitted_hho_on_uncut_cell(k):
     mesh = build_mesh(0)
     cm = build_cut_mesh(mesh, Circle((5.0, 5.0), 0.1), theta=0.3, r=2)
     ops = LocalOperators(cm, k)
-    cid = mesh.cell_id(4, 6)
+    cid = 6 * mesh.n + 4
     ghat, _, st = ops.gradient_reconstruction(cid, 2)
     basis = ops.cell_basis(cid, 2)
     transform = basis.lower(k).transform  # rows to the oracle's monomials
@@ -872,7 +869,7 @@ def test_reconstruction_matches_fitted_hho_on_uncut_cell(k):
     ghat = np.vstack([transform @ ghat[:ng], transform @ ghat[ng:]])
     # columns: stencil dofs in the oracle's cell and face monomials
     to_mono = block_diag(basis.transform, *[face_to_monomials(mesh, ops, fid, k)
-                                            for fid in mesh.cell_faces(cid)])
+                                            for fid in mesh.cell_face_table[cid]])
     oracle = fitted_reconstruction(mesh, cid, k) @ to_mono
     assert st.keys[0] == ("c", cid, 2)
     assert ghat.shape == oracle.shape
